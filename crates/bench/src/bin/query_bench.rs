@@ -22,11 +22,12 @@
 //! workload. Emits `BENCH_query.json` into `--out <dir>` (default
 //! `results/`); pass `--smoke` for a seconds-long CI-sized run.
 
-use kdtune::{build, Algorithm, BuildParams, BuiltTree, Tuner};
+use kdtune::{
+    build, build_eager, params_from_values, run_query_batch, Algorithm, BuildParams, TunedPipeline,
+};
 use kdtune_bench::cli::ExperimentArgs;
 use kdtune_bench::stats::median;
 use kdtune_geometry::{TriangleMesh, Vec3};
-use kdtune_kdtree::{KdTree, Neighbor};
 use kdtune_raycast::{render_with, Camera};
 use kdtune_scenes::{by_name, sample_points, PointSampler, SceneParams};
 use kdtune_telemetry::json::JsonValue;
@@ -50,39 +51,6 @@ struct BenchSettings {
     repeats: usize,
 }
 
-/// Converts tuned search-space values back into build parameters —
-/// mirrors `kdtune-server`'s session mapping (`[CI, CB, S]`, defaults
-/// 17/10/3).
-fn params_from_values(values: &[i64]) -> BuildParams {
-    let get = |i: usize, default: i64| values.get(i).copied().unwrap_or(default);
-    BuildParams::from_config(get(0, 17) as f32, get(1, 10) as f32, get(2, 3) as u32, 4096)
-}
-
-/// Builds and, for lazy trees, fully expands — point queries walk the
-/// whole structure, so the tree must be eager.
-fn build_eager(mesh: Arc<TriangleMesh>, algorithm: Algorithm, params: &BuildParams) -> KdTree {
-    match build(mesh, algorithm, params) {
-        BuiltTree::Eager(tree) => tree,
-        BuiltTree::Lazy(lazy) => lazy.to_eager(),
-    }
-}
-
-/// One k-NN + radius-gather pass over `points`, reusing the result
-/// buffers across queries like the server's batch runner. Returns the
-/// total result count so the work cannot be optimized away.
-fn run_query_batch(tree: &KdTree, points: &[Vec3], k: usize, radius: f32) -> u64 {
-    let mut knn_buf: Vec<Neighbor> = Vec::with_capacity(k);
-    let mut radius_buf: Vec<Neighbor> = Vec::new();
-    let mut results = 0u64;
-    for &p in points {
-        tree.knn_into(p, k, &mut knn_buf);
-        results += knn_buf.len() as u64;
-        tree.radius_gather_into(p, radius, &mut radius_buf);
-        results += radius_buf.len() as u64;
-    }
-    results
-}
-
 struct TuneOutcome {
     values: Vec<i64>,
     best_cost_secs: f64,
@@ -90,35 +58,23 @@ struct TuneOutcome {
     converged: bool,
 }
 
-/// Runs one Nelder-Mead tuner to convergence (or `max_steps`) over the
-/// eager `[CI, CB, S]` space, measuring `cost` per cycle.
-fn tune(
-    warm: Option<&[i64]>,
-    max_steps: usize,
-    mut cost: impl FnMut(&BuildParams) -> f64,
-) -> TuneOutcome {
-    let mut builder = Tuner::builder().seed(TUNER_SEED);
-    if let Some(values) = warm {
-        builder = builder.warm_start(values);
-    }
-    let mut tuner = builder.build();
-    let ci = tuner.register_parameter("CI", 3, 101, 1);
-    let cb = tuner.register_parameter("CB", 0, 60, 1);
-    let s = tuner.register_parameter("S", 1, 8, 1);
-    let mut steps = 0;
-    while !tuner.converged() && steps < max_steps {
-        tuner.start_cycle();
-        let values = [tuner.get(ci), tuner.get(cb), tuner.get(s)];
-        let params = params_from_values(&values);
-        tuner.stop_with(cost(&params));
-        steps += 1;
-    }
-    let (best, best_cost_secs) = tuner.best().expect("at least one measured cycle");
-    TuneOutcome {
-        values: best.values().to_vec(),
-        best_cost_secs,
-        steps,
-        converged: tuner.converged(),
+impl TuneOutcome {
+    /// Tunes `pipeline` to convergence (or `max_steps`) over the paper's
+    /// eager `[CI, CB, S]` space, with `cost` as each cycle's measurement.
+    fn of(
+        mut pipeline: TunedPipeline,
+        max_steps: usize,
+        cost: impl FnMut(&BuildParams, usize) -> f64,
+    ) -> TuneOutcome {
+        let (steps, _) = pipeline.run_budget_with(max_steps, cost);
+        let tuner = pipeline.tuner();
+        let (best, best_cost_secs) = tuner.best().expect("at least one measured cycle");
+        TuneOutcome {
+            values: best.values().to_vec(),
+            best_cost_secs,
+            steps,
+            converged: tuner.converged(),
+        }
     }
 }
 
@@ -243,29 +199,32 @@ fn main() {
             EVAL_POINTS_SEED,
         );
 
-        let render_tuned = tune(None, settings.max_steps, |p| {
+        // Every tuner measures frame 0, also on animated scenes.
+        let pipeline =
+            || TunedPipeline::new(scene.clone(), Algorithm::InPlace).tuner_seed(TUNER_SEED);
+        let render_tuned = TuneOutcome::of(pipeline(), settings.max_steps, |p, _| {
             let t0 = Instant::now();
             let tree = build(mesh.clone(), Algorithm::InPlace, p);
             let _ = render_with(&tree, &mesh, &camera, v.light);
             t0.elapsed().as_secs_f64()
         });
-        let query_cold = tune(None, settings.max_steps, |p| {
+        let query_cycle = |p: &BuildParams, _: usize| {
             let t0 = Instant::now();
             let tree = build_eager(mesh.clone(), Algorithm::InPlace, p);
             let _ = run_query_batch(&tree, &tune_points, settings.k, radius);
             t0.elapsed().as_secs_f64()
-        });
-        let query_warm = tune(Some(&query_cold.values), settings.max_steps, |p| {
-            let t0 = Instant::now();
-            let tree = build_eager(mesh.clone(), Algorithm::InPlace, p);
-            let _ = run_query_batch(&tree, &tune_points, settings.k, radius);
-            t0.elapsed().as_secs_f64()
-        });
+        };
+        let query_cold = TuneOutcome::of(pipeline(), settings.max_steps, query_cycle);
+        let query_warm = TuneOutcome::of(
+            pipeline().warm_start(&query_cold.values),
+            settings.max_steps,
+            query_cycle,
+        );
 
         // Cross table on held-out eval points: each workload's cycle cost
         // under each tuned configuration.
-        let rp = params_from_values(&render_tuned.values);
-        let qp = params_from_values(&query_cold.values);
+        let rp = params_from_values(Algorithm::InPlace, &render_tuned.values);
+        let qp = params_from_values(Algorithm::InPlace, &query_cold.values);
         let query_under_render =
             query_cycle_secs(&mesh, &eval_points, settings.k, radius, &rp, repeats);
         let query_under_query =

@@ -114,7 +114,7 @@ pub fn tune_scene(
         })
         .render_options(opts.render_options)
         .tuner_seed(seed);
-    let (_, converged) = pipeline.run_until_converged(opts.max_tuning_frames);
+    let converged = pipeline.run_until_converged(opts.max_tuning_frames);
 
     // Steady state at the tuned configuration. The baseline window starts
     // at the same pipeline *step* index, so on repeated dynamic scenes it
@@ -126,7 +126,7 @@ pub fn tune_scene(
     }
     let base = pipeline.baseline_range(window_start, opts.steady_window);
 
-    let tuner = pipeline.workflow().tuner();
+    let tuner = pipeline.tuner();
     let tuned_median = median(&tuned);
     let base_median = median(&base);
     let outcome = TuneOutcome {
@@ -182,8 +182,7 @@ pub fn measure_config(
     opts: &ExperimentOpts,
     frames: usize,
 ) -> f64 {
-    use kdtune::raycast::{run_frame_with_options, Camera};
-    use kdtune::BuildParams;
+    use kdtune::raycast::Camera;
     let v = scene.view;
     let camera = Camera::look_at(
         v.eye,
@@ -193,24 +192,18 @@ pub fn measure_config(
         opts.resolution,
         opts.resolution,
     );
-    let r = values.get(3).copied().unwrap_or(4096);
-    let params = BuildParams::from_config(
-        values[0] as f32,
-        values[1] as f32,
-        values[2] as u32,
-        r as u32,
-    );
+    let params = kdtune::params_from_values(algorithm, values);
     let costs: Vec<f64> = (0..frames.max(1))
         .map(|f| {
-            let (b, rr, _) = run_frame_with_options(
+            kdtune::raycast::timed_frame(
                 scene.frame(f),
                 algorithm,
                 &params,
                 &camera,
                 v.light,
                 &opts.render_options,
-            );
-            b + rr
+            )
+            .total_secs()
         })
         .collect();
     median(&costs)

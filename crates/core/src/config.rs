@@ -24,6 +24,26 @@ pub fn base_build_params() -> BuildParams {
     BuildParams::from_config(ci as f32, cb as f32, s as u32, r as u32)
 }
 
+/// Maps tuned values, in [`tuning_space`] order, to [`BuildParams`]. `R`
+/// is read for the lazy builder only; a missing value falls back to
+/// `C_base`, and values past the paper's space (the packet axes) are
+/// ignored.
+pub fn params_from_values(algorithm: Algorithm, values: &[i64]) -> BuildParams {
+    let (ci, cb, s, r) = BASE_CONFIG;
+    let get = |i: usize, default: i64| values.get(i).copied().unwrap_or(default);
+    let r = if algorithm == Algorithm::Lazy {
+        get(3, r)
+    } else {
+        r
+    };
+    BuildParams::from_config(
+        get(0, ci) as f32,
+        get(1, cb) as f32,
+        get(2, s) as u32,
+        r as u32,
+    )
+}
+
 /// The tuning search space of Table II for the given algorithm:
 /// `CI ∈ [3, 101]`, `CB ∈ [0, 60]`, `S ∈ [1, 8]`, and for the lazy
 /// algorithm additionally `R ∈ [16, 8192]` (powers of two).
@@ -52,6 +72,21 @@ mod tests {
         assert_eq!(p.sah.ct, 10.0);
         assert_eq!(p.s, 3);
         assert_eq!(p.r, 4096);
+    }
+
+    #[test]
+    fn params_from_values_honors_the_lazy_r_dimension() {
+        let eager = params_from_values(Algorithm::InPlace, &[21, 11, 4]);
+        assert_eq!((eager.s, eager.r), (4, 4096));
+        let lazy = params_from_values(Algorithm::Lazy, &[21, 11, 4, 256]);
+        assert_eq!((lazy.s, lazy.r), (4, 256));
+        // Packet axes after the paper's space do not leak into R.
+        let packets = params_from_values(Algorithm::InPlace, &[21, 11, 4, 8, 2]);
+        assert_eq!((packets.s, packets.r), (4, 4096));
+        assert_eq!(
+            params_from_values(Algorithm::Lazy, &[]),
+            base_build_params()
+        );
     }
 
     #[test]

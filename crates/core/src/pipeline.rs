@@ -1,10 +1,21 @@
-//! High-level tuned rendering pipeline over a [`Scene`].
+//! The paper's Fig. 4 loop over a [`Scene`]: register the tuned
+//! parameters once, then bracket every measured cycle.
+//!
+//! [`TunedPipeline`] owns the tuner. A cycle maps the tuner's
+//! configuration to [`BuildParams`] ([`params_from_values`]), measures a
+//! cost and reports it back. [`TunedPipeline::step`] measures a build and
+//! a render of the next animation frame; [`TunedPipeline::run_budget_with`]
+//! measures whatever the caller supplies (the render service's query
+//! sessions time an eager build and one point batch). Static scenes run
+//! the same loop on a constant mesh — camera positioning, system load and
+//! other environment effects still shift the optimum, which is why the
+//! paper tunes online even for static geometry.
 
-use crate::config::base_build_params;
-use kdtune_autotune::Tuner;
+use crate::config::{base_build_params, params_from_values, tuning_space};
+use kdtune_autotune::{Config, ParamHandle, Tuner, TunerPhase};
 use kdtune_geometry::Vec3;
-use kdtune_kdtree::Algorithm;
-use kdtune_raycast::{run_frame_with_options, Camera, FrameReport, RenderOptions, TuningWorkflow};
+use kdtune_kdtree::{Algorithm, BuildParams, PacketCounters, TreeStats};
+use kdtune_raycast::{timed_frame, Camera, RenderOptions, RenderStats, TimedFrame};
 use kdtune_scenes::Scene;
 use kdtune_telemetry as telemetry;
 
@@ -12,6 +23,9 @@ use kdtune_telemetry as telemetry;
 /// renders scale linearly in pixel count, so experiments pick sizes that
 /// fit their time budget).
 const DEFAULT_RES: u32 = 128;
+
+/// Tuner seed of a pipeline that is given none.
+const DEFAULT_SEED: u64 = 0x7e57;
 
 /// Why a budgeted convergence run stopped — distinct outcomes matter to
 /// long-running callers (the render service only persists a tuned
@@ -46,38 +60,44 @@ impl std::fmt::Display for StopReason {
     }
 }
 
-/// Summary of a pipeline run.
+/// Everything measured for one frame.
 #[derive(Clone, Debug)]
-pub struct PipelineReport {
-    /// Per-frame reports, in order.
-    pub frames: Vec<FrameReport>,
+pub struct FrameReport {
+    /// Configuration that was active.
+    pub config: Config,
+    /// Build parameters derived from it.
+    pub params: BuildParams,
+    /// kD-tree construction time (`t_c`), seconds.
+    pub build_secs: f64,
+    /// Rendering time (`t_r`), seconds.
+    pub render_secs: f64,
+    /// Total measured cost fed to the tuner (`t = t_c + t_r`).
+    pub total_secs: f64,
+    /// Renderer counters.
+    pub stats: RenderStats,
+    /// Packet-traversal counters (all zero on scalar renders).
+    pub packet: PacketCounters,
+    /// Render options the frame actually used (reflects the tuner's
+    /// packet-width choice when those axes are registered).
+    pub options: RenderOptions,
+    /// Tuner phase during this frame.
+    pub phase: TunerPhase,
 }
 
-impl PipelineReport {
-    /// Median total frame time over the last `window` frames (steady-state
-    /// cost once the tuner has converged).
-    pub fn median_recent_total(&self, window: usize) -> f64 {
-        let n = self.frames.len();
-        assert!(n > 0, "no frames recorded");
-        let tail = &self.frames[n.saturating_sub(window)..];
-        let mut v: Vec<f64> = tail.iter().map(|f| f.total_secs).collect();
-        v.sort_by(f64::total_cmp);
-        v[v.len() / 2]
-    }
-}
-
-/// A scene + algorithm + tuner, stepped one frame at a time (Fig. 4).
+/// A scene + algorithm + tuner, stepped one cycle at a time (Fig. 4).
 pub struct TunedPipeline {
     scene: Scene,
-    workflow: TuningWorkflow,
-    camera: Camera,
-    light: Vec3,
-    frame: usize,
-    frame_repeat: usize,
-    reports: Vec<FrameReport>,
+    algorithm: Algorithm,
+    tuner: Tuner,
+    /// Handles of `W` and `MA` when the packet axes are tuned.
+    packet_axes: Option<(ParamHandle, ParamHandle)>,
+    tune_packets: bool,
     seed: u64,
     warm: Option<Vec<i64>>,
-    tune_packets: bool,
+    render_options: RenderOptions,
+    camera: Camera,
+    light: Vec3,
+    frame_repeat: usize,
 }
 
 impl TunedPipeline {
@@ -87,34 +107,47 @@ impl TunedPipeline {
         let v = scene.view;
         let camera = Camera::look_at(v.eye, v.target, v.up, v.fov_deg, DEFAULT_RES, DEFAULT_RES);
         TunedPipeline {
-            workflow: TuningWorkflow::new(algorithm, 0x7e57),
+            algorithm,
+            tuner: Tuner::new(),
+            packet_axes: None,
+            tune_packets: false,
+            seed: DEFAULT_SEED,
+            warm: None,
+            render_options: RenderOptions::default(),
             camera,
             light: v.light,
             scene,
-            frame: 0,
             frame_repeat: 1,
-            reports: Vec::new(),
-            seed: 0x7e57,
-            warm: None,
-            tune_packets: false,
         }
+        .with_tuner(|_| {})
     }
 
-    /// Rebuilds the workflow with the current seed/warm-start settings,
-    /// preserving render options (fresh pipelines only).
-    fn rebuild_workflow(&mut self) {
-        let options = self.workflow.render_options();
-        let algorithm = self.workflow.algorithm();
+    /// Applies a tuner setting and replaces the tuner with a fresh one:
+    /// the paper's space from [`tuning_space`], then `W` and `MA` when
+    /// the packet axes are on.
+    fn with_tuner(mut self, set: impl FnOnce(&mut TunedPipeline)) -> TunedPipeline {
+        assert_eq!(
+            self.steps_taken(),
+            0,
+            "tuner settings must be changed before stepping"
+        );
+        set(&mut self);
         let mut builder = Tuner::builder().seed(self.seed);
         if let Some(values) = &self.warm {
             builder = builder.warm_start(values);
         }
-        let mut workflow =
-            TuningWorkflow::with_tuner(algorithm, builder.build()).with_render_options(options);
-        if self.tune_packets {
-            workflow = workflow.tune_packets();
+        let mut tuner = builder.build();
+        for spec in tuning_space(self.algorithm).params() {
+            tuner.register(spec.clone());
         }
-        self.workflow = workflow;
+        self.packet_axes = self.tune_packets.then(|| {
+            (
+                tuner.register_parameter_choices("W", &[1, 4, 8]),
+                tuner.register_parameter("MA", 1, 8, 1),
+            )
+        });
+        self.tuner = tuner;
+        self
     }
 
     /// Repeats every animation frame `k` times (the paper extends the
@@ -135,11 +168,8 @@ impl TunedPipeline {
     ///
     /// # Panics
     /// Panics after stepping has begun.
-    pub fn tuner_seed(mut self, seed: u64) -> TunedPipeline {
-        assert_eq!(self.frame, 0, "seed must be set before stepping");
-        self.seed = seed;
-        self.rebuild_workflow();
-        self
+    pub fn tuner_seed(self, seed: u64) -> TunedPipeline {
+        self.with_tuner(|p| p.seed = seed)
     }
 
     /// Warm-starts the tuner from a known-good configuration (raw
@@ -149,32 +179,29 @@ impl TunedPipeline {
     ///
     /// # Panics
     /// Panics after stepping has begun.
-    pub fn warm_start(mut self, values: &[i64]) -> TunedPipeline {
-        assert_eq!(self.frame, 0, "warm start must be set before stepping");
-        self.warm = Some(values.to_vec());
-        self.rebuild_workflow();
-        self
+    pub fn warm_start(self, values: &[i64]) -> TunedPipeline {
+        self.with_tuner(|p| p.warm = Some(values.to_vec()))
     }
 
     /// Adds the packet axes (`W` ∈ {1, 4, 8} and `MA` = min-active lanes)
     /// to the tuning space, so the search picks a ray-packet width per
     /// scene online instead of rendering with a fixed
-    /// [`TunedPipeline::render_options`] width. Fresh pipelines only.
+    /// [`TunedPipeline::render_options`] width. Every width renders
+    /// bit-identical images, so the axes move only the frame-time cost
+    /// surface. Fresh pipelines only.
     ///
     /// # Panics
     /// Panics after stepping has begun.
-    pub fn tune_packets(mut self) -> TunedPipeline {
-        assert_eq!(self.frame, 0, "packet axes must be enabled before stepping");
-        self.tune_packets = true;
-        self.rebuild_workflow();
-        self
+    pub fn tune_packets(self) -> TunedPipeline {
+        self.with_tuner(|p| p.tune_packets = true)
     }
 
     /// Selects scalar or packet ray tracing for tuned frames *and* the
-    /// untuned baseline (pixels and [`kdtune_raycast::RenderStats`] are
-    /// bit-identical either way; only frame time differs).
+    /// untuned baseline (pixels and [`RenderStats`] are bit-identical
+    /// either way; only frame time differs). With tuned packet axes the
+    /// tuner's width and threshold override the ones given here.
     pub fn render_options(mut self, options: RenderOptions) -> TunedPipeline {
-        self.workflow = self.workflow.with_render_options(options);
+        self.render_options = options;
         self
     }
 
@@ -183,55 +210,166 @@ impl TunedPipeline {
         &self.scene
     }
 
-    /// The tuning workflow (tuner access, handles).
-    pub fn workflow(&self) -> &TuningWorkflow {
-        &self.workflow
+    /// The tuner (best configuration, history, phase).
+    pub fn tuner(&self) -> &Tuner {
+        &self.tuner
     }
 
-    /// Runs one tuned frame and advances the animation.
+    /// Starts a tuner cycle; returns its configuration's build parameters.
+    fn begin_cycle(&mut self) -> BuildParams {
+        self.tuner.start_cycle();
+        let config = self.tuner.current().expect("cycle started");
+        params_from_values(self.algorithm, config.values())
+    }
+
+    /// Runs one tuned frame and advances the animation: the measured cost
+    /// is the build plus the render of the next animation frame.
     pub fn step(&mut self) -> FrameReport {
-        let mesh = self.scene.frame(self.frame / self.frame_repeat);
-        self.frame += 1;
-        let report = self.workflow.run_frame(mesh, &self.camera, self.light);
-        self.reports.push(report.clone());
-        report
+        let mesh = self.scene.frame(self.next_frame_index());
+        let params = self.begin_cycle();
+        let config = self.tuner.current().expect("cycle started").clone();
+        let phase = self.tuner.phase();
+        let mut options = self.render_options;
+        if let Some((w, ma)) = self.packet_axes {
+            options.packet_width = self.tuner.get(w) as u32;
+            options.packet_min_active = self.tuner.get(ma) as u32;
+        }
+        let frame = timed_frame(
+            mesh,
+            self.algorithm,
+            &params,
+            &self.camera,
+            self.light,
+            &options,
+        );
+        let total_secs = frame.total_secs();
+        let index = self.tuner.iterations();
+        self.tuner.stop_with(total_secs);
+        if telemetry::enabled() {
+            self.frame_event(index, &config, phase, &options, &frame);
+        }
+        FrameReport {
+            config,
+            params,
+            build_secs: frame.build_secs,
+            render_secs: frame.render_secs,
+            total_secs,
+            stats: frame.stats,
+            packet: frame.packet,
+            options,
+            phase,
+        }
+    }
+
+    /// Emits the `workflow.frame` event of one tuned frame.
+    fn frame_event(
+        &self,
+        index: usize,
+        config: &Config,
+        phase: TunerPhase,
+        options: &RenderOptions,
+        frame: &TimedFrame,
+    ) {
+        let (stats, packet, tree) = (&frame.stats, &frame.packet, &frame.tree);
+        // Traversal throughput: every ray the frame cast, over the render
+        // wall time (guarded against a zero-duration clock).
+        let rays = stats.primary_rays + stats.shadow_rays;
+        let rays_per_sec = if frame.render_secs > 0.0 {
+            rays as f64 / frame.render_secs
+        } else {
+            0.0
+        };
+        let mut fields = vec![
+            ("frame", index.into()),
+            ("algorithm", self.algorithm.name().into()),
+            ("phase", phase.as_str().into()),
+            ("config", config.to_string().into()),
+            ("build_secs", frame.build_secs.into()),
+            ("render_secs", frame.render_secs.into()),
+            ("total_secs", frame.total_secs().into()),
+            ("primary_rays", stats.primary_rays.into()),
+            ("primary_hits", stats.primary_hits.into()),
+            ("shadow_rays", stats.shadow_rays.into()),
+            ("occluded", stats.occluded.into()),
+            ("rays_per_sec", rays_per_sec.into()),
+            ("packets", options.uses_packets().into()),
+            (
+                "packet_width",
+                u64::from(options.packet_width.max(1)).into(),
+            ),
+            ("packet_lanes_utilized", packet.lane_utilization().into()),
+            ("packet_frustum_rate", packet.frustum_rate().into()),
+            ("packet_fallback_lanes", packet.scalar_fallback_lanes.into()),
+            ("nodes", tree.node_count().into()),
+            ("node_bytes", tree.node_bytes().into()),
+        ];
+        // Tree-quality metrics require a full traversal, so they are
+        // computed only while a recorder is listening (and only for eager
+        // trees — a lazy tree would be forced by the walk).
+        if let Some(eager) = tree.as_eager() {
+            let ts = TreeStats::compute(eager);
+            fields.push(("leaves", ts.leaf_count.into()));
+            fields.push(("tree_depth", ts.max_depth.into()));
+            fields.push(("duplication", ts.duplication_factor.into()));
+            fields.push(("sah_cost", ts.sah_cost.into()));
+        }
+        telemetry::event_owned("workflow.frame", fields);
     }
 
     /// The animation frame index the next [`TunedPipeline::step`] renders.
     pub fn next_frame_index(&self) -> usize {
-        self.frame / self.frame_repeat
+        self.steps_taken() / self.frame_repeat
     }
 
-    /// The number of [`TunedPipeline::step`] calls taken so far. Pipeline
-    /// *step* indices (which advance every frame) and *animation* frame
-    /// indices (which advance every `frame_repeat` steps) differ on
-    /// repeated dynamic scenes; [`TunedPipeline::baseline_range`] takes
-    /// the former.
+    /// The number of tuner cycles run so far (every [`TunedPipeline::step`]
+    /// and every measured cycle). Pipeline *step* indices (which advance
+    /// every cycle) and *animation* frame indices (which advance every
+    /// `frame_repeat` steps) differ on repeated dynamic scenes;
+    /// [`TunedPipeline::baseline_range`] takes the former.
     pub fn steps_taken(&self) -> usize {
-        self.frame
+        self.tuner.iterations()
     }
 
-    /// Runs `n` frames.
-    pub fn run(&mut self, n: usize) -> PipelineReport {
-        for _ in 0..n {
-            self.step();
-        }
-        PipelineReport {
-            frames: self.reports.clone(),
-        }
-    }
-
-    /// Runs up to `max_steps` frames, stopping early once the tuner
-    /// converges. Returns only the frames of *this* call (a resumable
-    /// slice — long-running callers invoke this repeatedly on the same
+    /// Runs up to `max_steps` tuned frames ([`TunedPipeline::step`]),
+    /// stopping early once the tuner converges. Returns how many ran in
+    /// *this* call (long-running callers invoke it repeatedly on the same
     /// pipeline) and why the run stopped, and emits a `pipeline.run`
     /// telemetry event carrying the reason.
-    pub fn run_budget(&mut self, max_steps: usize) -> (Vec<FrameReport>, StopReason) {
-        let start = self.reports.len();
+    pub fn run_budget(&mut self, max_steps: usize) -> (usize, StopReason) {
+        self.budget(max_steps, |p| {
+            p.step();
+        })
+    }
+
+    /// [`TunedPipeline::run_budget`] with a measurement the caller
+    /// supplies: each cycle's cost is `measure(params, cycle)`, given the
+    /// cycle's build parameters and its index (the cycles run before it).
+    /// Nothing is rendered; each cycle counts as one step.
+    pub fn run_budget_with(
+        &mut self,
+        max_steps: usize,
+        mut measure: impl FnMut(&BuildParams, usize) -> f64,
+    ) -> (usize, StopReason) {
+        self.budget(max_steps, |p| {
+            let params = p.begin_cycle();
+            let cost = measure(&params, p.tuner.iterations());
+            p.tuner.stop_with(cost);
+        })
+    }
+
+    /// The budgeted loop: one `cycle` per step, checking for convergence
+    /// after each.
+    fn budget(
+        &mut self,
+        max_steps: usize,
+        mut cycle: impl FnMut(&mut TunedPipeline),
+    ) -> (usize, StopReason) {
+        let mut steps = 0;
         let mut reason = StopReason::FrameBudget;
-        for _ in 0..max_steps {
-            self.step();
-            if self.workflow.tuner().converged() {
+        while steps < max_steps {
+            cycle(self);
+            steps += 1;
+            if self.tuner.converged() {
                 reason = StopReason::Converged;
                 break;
             }
@@ -240,26 +378,21 @@ impl TunedPipeline {
             "pipeline.run",
             &[
                 ("reason", reason.as_str().into()),
-                ("steps", (self.reports.len() - start).into()),
-                ("total_steps", self.frame.into()),
-                ("converged", self.workflow.tuner().converged().into()),
+                ("steps", steps.into()),
+                ("total_steps", self.steps_taken().into()),
+                ("converged", self.tuner.converged().into()),
             ],
         );
-        (self.reports[start..].to_vec(), reason)
+        (steps, reason)
     }
 
     /// Runs frames until the tuner converges (or `max_frames` elapse);
-    /// returns the full report and whether the tuner is converged. See
+    /// returns whether the tuner is converged. See
     /// [`TunedPipeline::run_budget`] for the stop *reason* (the boolean
     /// also covers a tuner that converged on an earlier call).
-    pub fn run_until_converged(&mut self, max_frames: usize) -> (PipelineReport, bool) {
+    pub fn run_until_converged(&mut self, max_frames: usize) -> bool {
         let _ = self.run_budget(max_frames);
-        (
-            PipelineReport {
-                frames: self.reports.clone(),
-            },
-            self.workflow.tuner().converged(),
-        )
+        self.tuner.converged()
     }
 
     /// Measures the *untuned* baseline: the same frame loop pinned to
@@ -283,19 +416,17 @@ impl TunedPipeline {
     /// index, which would divide by `frame_repeat` twice).
     pub fn baseline_range(&self, start: usize, n: usize) -> Vec<f64> {
         let params = base_build_params();
-        let options = self.workflow.render_options();
         self.baseline_frames(start, n)
             .map(|frame| {
-                let mesh = self.scene.frame(frame);
-                let (b, r, _) = run_frame_with_options(
-                    mesh,
-                    self.workflow.algorithm(),
+                timed_frame(
+                    self.scene.frame(frame),
+                    self.algorithm,
                     &params,
                     &self.camera,
                     self.light,
-                    &options,
-                );
-                b + r
+                    &self.render_options,
+                )
+                .total_secs()
             })
             .collect()
     }
@@ -304,7 +435,8 @@ impl TunedPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kdtune_scenes::{wood_doll, SceneParams};
+    use crate::StructuralCostModel;
+    use kdtune_scenes::{toasters, wood_doll, SceneParams};
 
     fn pipeline() -> TunedPipeline {
         TunedPipeline::new(wood_doll(&SceneParams::tiny()), Algorithm::InPlace)
@@ -312,12 +444,36 @@ mod tests {
             .tuner_seed(5)
     }
 
+    fn param_names(p: &TunedPipeline) -> Vec<&str> {
+        let space = p.tuner().space();
+        space.params().iter().map(|s| s.name.as_str()).collect()
+    }
+
     #[test]
-    fn steps_accumulate_reports() {
+    fn steps_render_and_record() {
         let mut p = pipeline();
-        let report = p.run(6);
-        assert_eq!(report.frames.len(), 6);
-        assert!(report.median_recent_total(4) > 0.0);
+        for _ in 0..6 {
+            let report = p.step();
+            assert!(report.total_secs >= report.build_secs);
+            assert_eq!(report.stats.primary_rays, 24 * 24);
+            // Non-lazy algorithms tune 3 parameters.
+            assert_eq!(report.config.values().len(), 3);
+            assert_eq!(
+                report.params,
+                params_from_values(Algorithm::InPlace, report.config.values())
+            );
+        }
+        assert_eq!(p.steps_taken(), 6);
+        assert_eq!(p.tuner().iterations(), 6);
+    }
+
+    #[test]
+    fn configs_vary_during_seeding() {
+        let mut p = TunedPipeline::new(wood_doll(&SceneParams::tiny()), Algorithm::NodeLevel)
+            .resolution(16, 16)
+            .tuner_seed(3);
+        let configs: std::collections::HashSet<Config> = (0..8).map(|_| p.step().config).collect();
+        assert!(configs.len() >= 4, "seeding must explore: {configs:?}");
     }
 
     #[test]
@@ -331,8 +487,8 @@ mod tests {
     #[test]
     fn convergence_loop_caps_at_max_frames() {
         let mut p = pipeline();
-        let (report, _converged) = p.run_until_converged(5);
-        assert!(report.frames.len() <= 5);
+        let _converged = p.run_until_converged(5);
+        assert!(p.steps_taken() <= 5);
     }
 
     #[test]
@@ -354,32 +510,33 @@ mod tests {
     #[test]
     fn run_budget_reports_only_new_frames_and_reason() {
         let mut p = pipeline();
-        let (frames, reason) = p.run_budget(3);
-        assert_eq!(frames.len(), 3);
+        let (steps, reason) = p.run_budget(3);
+        assert_eq!(steps, 3);
         assert_eq!(reason, StopReason::FrameBudget);
         assert_eq!(reason.as_str(), "frame_budget");
         assert!(!reason.is_converged());
-        // A second budget returns its own frames, not the accumulated run.
-        let (frames, _) = p.run_budget(2);
-        assert_eq!(frames.len(), 2);
+        // A second budget counts its own frames, not the accumulated run.
+        let (steps, _) = p.run_budget(2);
+        assert_eq!(steps, 2);
         assert_eq!(p.steps_taken(), 5);
     }
 
     #[test]
     fn run_budget_stops_on_convergence_with_reason() {
         let mut p = pipeline();
-        let (frames, reason) = p.run_budget(400);
+        let (steps, reason) = p.run_budget(400);
         assert_eq!(reason, StopReason::Converged);
         assert!(reason.is_converged());
-        assert!(frames.len() < 400, "converged early: {}", frames.len());
-        assert!(p.workflow().tuner().converged());
+        assert!(steps < 400, "converged early: {steps}");
+        assert!(p.tuner().converged());
         // A zero-budget call on a converged pipeline reports FrameBudget
         // (nothing ran) while run_until_converged still answers true.
-        let (frames, reason) = p.run_budget(0);
-        assert!(frames.is_empty());
+        let (steps, reason) = p.run_budget(0);
+        assert_eq!(steps, 0);
         assert_eq!(reason, StopReason::FrameBudget);
-        let (_, converged) = p.run_until_converged(0);
-        assert!(converged);
+        assert!(p.run_until_converged(0));
+        // A budget on a converged pipeline measures one cycle, then stops.
+        assert_eq!(p.run_budget(5), (1, StopReason::Converged));
     }
 
     #[test]
@@ -388,12 +545,29 @@ mod tests {
             .resolution(24, 24)
             .tune_packets()
             .tuner_seed(5);
-        assert!(p.workflow().handles().packet_width.is_some());
-        assert!(p.workflow().handles().min_active.is_some());
+        assert_eq!(param_names(&p), ["CI", "CB", "S", "W", "MA"]);
         let report = p.step();
         // (CI, CB, S) + (W, MA).
         assert_eq!(report.config.values().len(), 5);
         assert!([1, 4, 8].contains(&report.options.packet_width));
+    }
+
+    #[test]
+    fn tuned_packet_axes_drive_the_render_options() {
+        let mut p = TunedPipeline::new(wood_doll(&SceneParams::tiny()), Algorithm::InPlace)
+            .resolution(16, 16)
+            .tune_packets()
+            .tuner_seed(5);
+        let mut widths = std::collections::HashSet::new();
+        for _ in 0..8 {
+            let report = p.step();
+            let values = report.config.values();
+            assert_eq!(report.options.packet_width as i64, values[3]);
+            assert_eq!(report.options.packet_min_active as i64, values[4]);
+            assert!((1..=8).contains(&report.options.packet_min_active));
+            widths.insert(report.options.packet_width);
+        }
+        assert!(widths.len() > 1, "seeding must explore widths: {widths:?}");
     }
 
     #[test]
@@ -420,8 +594,8 @@ mod tests {
                 .resolution(128, 128)
                 .tune_packets()
                 .tuner_seed(seed);
-            let (_, converged) = p.run_until_converged(150);
-            let (best, _) = p.workflow().tuner().best().expect("measured configs");
+            let converged = p.run_until_converged(150);
+            let (best, _) = p.tuner().best().expect("measured configs");
             // (CI, CB, S, W, MA): W is the fourth axis.
             converged && best.values()[3] > 1
         });
@@ -432,8 +606,7 @@ mod tests {
     fn warm_start_seeds_first_config() {
         let mut p = pipeline().warm_start(&[21, 11, 4]);
         p.step();
-        let tuner = p.workflow().tuner();
-        assert_eq!(tuner.history()[0].config.values(), &[21, 11, 4]);
+        assert_eq!(p.tuner().history()[0].config.values(), &[21, 11, 4]);
     }
 
     #[test]
@@ -447,10 +620,7 @@ mod tests {
             .tuner_seed(5);
         a.step();
         b.step();
-        assert_eq!(
-            a.workflow().tuner().history()[0].config,
-            b.workflow().tuner().history()[0].config
-        );
+        assert_eq!(a.tuner().history()[0].config, b.tuner().history()[0].config);
     }
 
     #[test]
@@ -473,5 +643,73 @@ mod tests {
         let costs = p.baseline_range(p.steps_taken(), 2);
         assert_eq!(costs.len(), 2);
         assert!(costs.iter().all(|&c| c > 0.0));
+    }
+
+    /// The budgeted loop with a deterministic measurement: the structural
+    /// cost of the tree each cycle's parameters build. No wall clock is
+    /// read, so every assertion is exact.
+    #[test]
+    fn budgeted_loop_under_a_structural_cost_is_exact() {
+        let scene = toasters(&SceneParams::tiny());
+        let mesh = scene.frame(0);
+        let model = StructuralCostModel::default();
+        let tune = |algorithm: Algorithm, warm: Option<&[i64]>, packets: bool| {
+            let mut p = TunedPipeline::new(scene.clone(), algorithm).tuner_seed(11);
+            if let Some(values) = warm {
+                p = p.warm_start(values);
+            }
+            if packets {
+                p = p.tune_packets();
+            }
+            let mut cycles = Vec::new();
+            let (steps, reason) = p.run_budget_with(400, |params, cycle| {
+                cycles.push(cycle);
+                model.frame_cost(&mesh, algorithm, params)
+            });
+            assert_eq!(reason, StopReason::Converged, "{algorithm}");
+            assert_eq!(cycles, (0..steps).collect::<Vec<_>>());
+            assert_eq!(p.steps_taken(), steps);
+            p
+        };
+        let configs = |p: &TunedPipeline| -> Vec<Config> {
+            p.tuner()
+                .history()
+                .iter()
+                .map(|m| m.config.clone())
+                .collect()
+        };
+
+        // Equal seeds walk equal configuration sequences.
+        let cold = tune(Algorithm::InPlace, None, false);
+        assert_eq!(
+            configs(&cold),
+            configs(&tune(Algorithm::InPlace, None, false))
+        );
+        assert_eq!(param_names(&cold), ["CI", "CB", "S"]);
+
+        // A warm start from the converged best converges in fewer cycles.
+        let best = cold.tuner().best().expect("measured").0.values().to_vec();
+        let warm = tune(Algorithm::InPlace, Some(&best), false);
+        assert_eq!(warm.tuner().history()[0].config.values(), &best[..]);
+        assert!(
+            warm.steps_taken() < cold.steps_taken(),
+            "warm {} vs cold {}",
+            warm.steps_taken(),
+            cold.steps_taken()
+        );
+
+        // The lazy builder tunes R as well: powers of two in [16, 8192].
+        let lazy = tune(Algorithm::Lazy, None, false);
+        assert_eq!(param_names(&lazy), ["CI", "CB", "S", "R"]);
+        let rs: std::collections::HashSet<i64> =
+            configs(&lazy).iter().map(|c| c.values()[3]).collect();
+        assert!(rs.len() > 1, "R must be explored: {rs:?}");
+        assert!(rs
+            .iter()
+            .all(|r| r.count_ones() == 1 && (16..=8192).contains(r)));
+
+        // The packet axes follow the paper's space.
+        let packets = tune(Algorithm::InPlace, None, true);
+        assert_eq!(param_names(&packets), ["CI", "CB", "S", "W", "MA"]);
     }
 }

@@ -78,7 +78,7 @@ pub fn select_algorithm(scene: &Scene, opts: &SelectorOpts) -> SelectionReport {
             let mut pipeline = TunedPipeline::new(scene.clone(), algorithm)
                 .resolution(opts.resolution, opts.resolution)
                 .tuner_seed(opts.seed);
-            let (_, converged) = pipeline.run_until_converged(opts.budget_per_algorithm);
+            let converged = pipeline.run_until_converged(opts.budget_per_algorithm);
             let mut steady = Vec::with_capacity(opts.steady_window);
             for _ in 0..opts.steady_window.max(1) {
                 steady.push(pipeline.step().total_secs);
@@ -86,7 +86,6 @@ pub fn select_algorithm(scene: &Scene, opts: &SelectorOpts) -> SelectionReport {
             steady.sort_by(|a, b| a.partial_cmp(b).unwrap());
             let tuned_cost = steady[steady.len() / 2];
             let config = pipeline
-                .workflow()
                 .tuner()
                 .best()
                 .map(|(c, _)| c.clone())

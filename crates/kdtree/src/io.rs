@@ -25,30 +25,24 @@
 //! high 30 bits the right-child index (inner) or first-prim offset
 //! (leaf); `data` is the split position's `f32` bits (inner) or the prim
 //! count (leaf). Left children are implicit at `index + 1` — decoded
-//! inner nodes are checked for that preorder shape.
-//!
-//! The previous version, `"KDT1"`, stored 16-byte records
-//! `(tag u32, a u32, b u32, f f32)` with explicit left children
-//! (`tag = 0` → leaf `first = a, count = b`; `tag = 1 + axis` → inner
-//! `left = a, right = b, pos = f`). [`decode`] still reads it; since the
-//! flattener has always emitted preorder, `left = index + 1` is required
-//! and anything else is rejected as corrupt.
+//! inner nodes are checked for that preorder shape. Each header count is
+//! checked against the bytes left before anything is allocated for it.
 
 use crate::tree::{KdTree, PackedNode};
-use kdtune_geometry::{Aabb, Axis, TriangleMesh, Vec3};
+use kdtune_geometry::{Aabb, TriangleMesh, Vec3};
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"KDT2";
-const MAGIC_V1: &[u8; 4] = b"KDT1";
 
 /// Deserialization failure.
 #[derive(Debug)]
 pub enum DecodeError {
     /// Wrong magic bytes.
     BadMagic,
-    /// Input ended early or counts are inconsistent.
+    /// Input ended early, or a header count needs more bytes than are
+    /// left.
     Truncated,
     /// A structural field holds an invalid value.
     Corrupt(&'static str),
@@ -57,7 +51,7 @@ pub enum DecodeError {
 impl std::fmt::Display for DecodeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            DecodeError::BadMagic => write!(f, "not a KDT1/KDT2 tree file"),
+            DecodeError::BadMagic => write!(f, "not a KDT2 tree file"),
             DecodeError::Truncated => write!(f, "truncated tree file"),
             DecodeError::Corrupt(what) => write!(f, "corrupt tree file: {what}"),
         }
@@ -114,6 +108,16 @@ impl<'a> Reader<'a> {
     fn vec3(&mut self) -> Result<Vec3, DecodeError> {
         Ok(Vec3::new(self.f32()?, self.f32()?, self.f32()?))
     }
+    /// Reads a `u64` count of `size`-byte records and checks that they
+    /// fit in the input left, so a forged header cannot make the decoder
+    /// allocate more than the input backs.
+    fn count(&mut self, size: usize) -> Result<usize, DecodeError> {
+        let n = usize::try_from(self.u64()?).map_err(|_| DecodeError::Truncated)?;
+        match n.checked_mul(size) {
+            Some(bytes) if bytes <= self.buf.len() - self.at => Ok(n),
+            _ => Err(DecodeError::Truncated),
+        }
+    }
 }
 
 /// Serializes a tree (mesh included) to bytes, in the current `KDT2`
@@ -151,20 +155,16 @@ pub fn encode(tree: &KdTree) -> Vec<u8> {
     w.buf
 }
 
-/// Deserializes a tree (with its mesh) from bytes; accepts the current
-/// `KDT2` format and the legacy 16-byte-record `KDT1`.
+/// Deserializes a `KDT2` tree (with its mesh) from bytes.
 pub fn decode(bytes: &[u8]) -> Result<KdTree, DecodeError> {
     let mut r = Reader { buf: bytes, at: 0 };
-    let magic = r.take(4)?;
-    let v1 = match magic {
-        m if m == MAGIC => false,
-        m if m == MAGIC_V1 => true,
-        _ => return Err(DecodeError::BadMagic),
-    };
-    let nv = r.u64()? as usize;
-    let nt = r.u64()? as usize;
-    let nn = r.u64()? as usize;
-    let np = r.u64()? as usize;
+    if r.take(4)? != MAGIC {
+        return Err(DecodeError::BadMagic);
+    }
+    let nv = r.count(12)?;
+    let nt = r.count(12)?;
+    let nn = r.count(8)?;
+    let np = r.count(4)?;
     let bounds = Aabb::new(r.vec3()?, r.vec3()?);
     let mut vertices = Vec::with_capacity(nv);
     for _ in 0..nv {
@@ -181,13 +181,9 @@ pub fn decode(bytes: &[u8]) -> Result<KdTree, DecodeError> {
     let mut nodes = Vec::with_capacity(nn);
     let mut prim_total = 0usize;
     for i in 0..nn {
-        let node = if v1 {
-            decode_node_v1(&mut r, i, nn)?
-        } else {
-            let word = r.u32()?;
-            let data = r.u32()?;
-            PackedNode::from_raw(word, data)
-        };
+        let word = r.u32()?;
+        let data = r.u32()?;
+        let node = PackedNode::from_raw(word, data);
         if node.is_leaf() {
             if node.prim_first() as usize != prim_total {
                 return Err(DecodeError::Corrupt("leaf ranges not contiguous"));
@@ -218,32 +214,6 @@ pub fn decode(bytes: &[u8]) -> Result<KdTree, DecodeError> {
     Ok(KdTree::from_raw_parts(mesh, bounds, nodes, prim_indices))
 }
 
-/// Reads one legacy 16-byte `KDT1` record and converts it to the packed
-/// form, enforcing the preorder shape the packed layout assumes.
-fn decode_node_v1(r: &mut Reader<'_>, i: usize, nn: usize) -> Result<PackedNode, DecodeError> {
-    let tag = r.u32()?;
-    let a = r.u32()?;
-    let b = r.u32()?;
-    let f = r.f32()?;
-    match tag {
-        0 => Ok(PackedNode::leaf(a, b)),
-        1..=3 => {
-            if a as usize != i + 1 {
-                return Err(DecodeError::Corrupt("non-preorder layout"));
-            }
-            if (b as usize) < i + 2 || b as usize >= nn {
-                return Err(DecodeError::Corrupt("bad child index"));
-            }
-            Ok(PackedNode::inner(
-                Axis::from_index((tag - 1) as usize),
-                f,
-                b,
-            ))
-        }
-        _ => Err(DecodeError::Corrupt("unknown node tag")),
-    }
-}
-
 /// Writes a tree to a file.
 pub fn save(tree: &KdTree, path: impl AsRef<Path>) -> io::Result<()> {
     std::fs::write(path, encode(tree))
@@ -258,7 +228,6 @@ pub fn load(path: impl AsRef<Path>) -> io::Result<KdTree> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tree::NodeKind;
     use crate::{build, validate, Algorithm, BuildParams};
     use kdtune_geometry::Ray;
     use kdtune_scenes::{wood_doll, SceneParams};
@@ -274,52 +243,6 @@ mod tests {
     /// Byte offset where node records start.
     fn nodes_offset(t: &KdTree) -> usize {
         4 + 32 + 24 + t.mesh().vertices.len() * 12 + t.mesh().indices.len() * 12
-    }
-
-    /// Hand-writes the legacy KDT1 bytes for a tree.
-    fn encode_v1(tree: &KdTree) -> Vec<u8> {
-        let mesh = tree.mesh();
-        let mut w = Writer { buf: Vec::new() };
-        w.buf.extend_from_slice(MAGIC_V1);
-        w.u64(mesh.vertices.len() as u64);
-        w.u64(mesh.indices.len() as u64);
-        w.u64(tree.node_count() as u64);
-        w.u64(tree.prim_references() as u64);
-        w.vec3(tree.bounds().min);
-        w.vec3(tree.bounds().max);
-        for v in &mesh.vertices {
-            w.vec3(*v);
-        }
-        for [a, b, c] in &mesh.indices {
-            w.u32(*a);
-            w.u32(*b);
-            w.u32(*c);
-        }
-        for i in 0..tree.node_count() as u32 {
-            match tree.node_kind(i) {
-                NodeKind::Leaf { first, count } => {
-                    w.u32(0);
-                    w.u32(first);
-                    w.u32(count);
-                    w.f32(0.0);
-                }
-                NodeKind::Inner {
-                    axis,
-                    pos,
-                    left,
-                    right,
-                } => {
-                    w.u32(1 + axis.index() as u32);
-                    w.u32(left);
-                    w.u32(right);
-                    w.f32(pos);
-                }
-            }
-        }
-        for p in tree.prim_indices() {
-            w.u32(*p);
-        }
-        w.buf
     }
 
     #[test]
@@ -357,37 +280,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_kdt1_decodes_to_identical_tree() {
-        let original = tree();
-        let decoded = decode(&encode_v1(&original)).expect("KDT1 decode");
-        assert_eq!(original.nodes(), decoded.nodes());
-        assert_eq!(original.prim_indices(), decoded.prim_indices());
-        validate(&decoded).expect("decoded tree valid");
-    }
-
-    #[test]
-    fn legacy_kdt1_rejects_non_preorder_left_child() {
-        let original = tree();
-        let mut bytes = encode_v1(&original);
-        let off = nodes_offset(&original);
-        // Find an inner record (tag != 0) and bump its left child.
-        let mut at = off;
-        loop {
-            let tag = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
-            if tag != 0 {
-                let left = u32::from_le_bytes(bytes[at + 4..at + 8].try_into().unwrap());
-                bytes[at + 4..at + 8].copy_from_slice(&(left + 1).to_le_bytes());
-                break;
-            }
-            at += 16;
-        }
-        assert!(matches!(
-            decode(&bytes),
-            Err(DecodeError::Corrupt("non-preorder layout"))
-        ));
-    }
-
-    #[test]
     fn file_round_trip() {
         let dir = std::env::temp_dir().join("kdtune_io_test");
         std::fs::create_dir_all(&dir).unwrap();
@@ -406,10 +298,36 @@ mod tests {
             Err(DecodeError::Truncated) | Err(DecodeError::BadMagic)
         ));
         assert!(matches!(decode(b"XXXX____"), Err(DecodeError::BadMagic)));
+        // The retired KDT1 format is not read either.
+        let mut v1 = encode(&tree());
+        v1[..4].copy_from_slice(b"KDT1");
+        assert!(matches!(decode(&v1), Err(DecodeError::BadMagic)));
         // Valid magic, truncated body.
         let mut bytes = encode(&tree());
         bytes.truncate(bytes.len() / 2);
         assert!(decode(&bytes).is_err());
+    }
+
+    #[test]
+    fn forged_header_counts_fail_without_allocating() {
+        // 68 bytes claiming 2^40 vertices: sizing the vertex buffer from
+        // the header alone asked for 12 TiB and aborted the process.
+        let mut bytes = b"KDT2".to_vec();
+        bytes.extend_from_slice(&(1u64 << 40).to_le_bytes());
+        bytes.resize(68, 0);
+        assert!(matches!(decode(&bytes), Err(DecodeError::Truncated)));
+        // Every count is bounded, up to u64::MAX.
+        let valid = encode(&tree());
+        for field in 0..4 {
+            for forged in [1u64 << 40, u64::MAX] {
+                let mut bytes = valid.clone();
+                bytes[4 + 8 * field..12 + 8 * field].copy_from_slice(&forged.to_le_bytes());
+                assert!(
+                    matches!(decode(&bytes), Err(DecodeError::Truncated)),
+                    "count {field} = {forged}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! # kdtune-raycast
 //!
-//! The ray casting renderer and the per-frame tuning workflow of the
-//! paper's Figure 4: *register parameters → (start measurement → build
-//! kD-tree → render → stop measurement → advance frame)\**.
+//! The ray casting renderer the paper's Figure 4 loop measures: *register
+//! parameters → (start measurement → build kD-tree → render → stop
+//! measurement → advance frame)\**. The loop itself is
+//! `kdtune::TunedPipeline`.
 //!
 //! Ray casting (Appel 1968) is deliberately simple — one primary ray per
 //! pixel, one shadow ray per hit — so that measured frame time is
@@ -27,15 +28,13 @@
 #![warn(missing_docs)]
 
 mod camera;
+mod frame;
 mod framebuffer;
 mod render;
 mod shade;
-mod workflow;
 
 pub use camera::{Camera, RayTable};
+pub use frame::{timed_frame, TimedFrame};
 pub use framebuffer::Framebuffer;
 pub use render::{render, render_with, render_with_options, RenderOptions, RenderStats};
 pub use shade::shade;
-pub use workflow::{
-    run_frame_with, run_frame_with_options, FrameReport, TunedHandles, TuningWorkflow,
-};

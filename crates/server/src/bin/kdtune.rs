@@ -21,6 +21,7 @@ use kdtune::{
     build, select_algorithm, Algorithm, BuildParams, RenderOptions, Scene, SceneParams,
     SelectorOpts, TreeStats, TunedPipeline,
 };
+use kdtune_server::outln;
 use std::collections::HashMap;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -145,10 +146,10 @@ fn camera_for(scene: &Scene, res: u32) -> (Camera, kdtune::geometry::Vec3) {
 
 fn cmd_scenes(args: &Args) -> Result<(), String> {
     let params = args.scene_params()?;
-    println!("{:<14} {:>9} {:>7}  kind", "scene", "triangles", "frames");
+    outln!("{:<14} {:>9} {:>7}  kind", "scene", "triangles", "frames");
     for name in SCENE_NAMES {
         let scene = by_name(name, &params).expect("registered");
-        println!(
+        outln!(
             "{:<14} {:>9} {:>7}  {}",
             scene.name,
             scene.frame(0).len(),
@@ -177,13 +178,15 @@ fn cmd_render(args: &Args) -> Result<(), String> {
     let t1 = std::time::Instant::now();
     let (image, stats, packet) = render_with_options(&tree, tree.mesh(), &camera, light, &options);
     let render_ms = t1.elapsed().as_secs_f64() * 1e3;
-    println!(
+    outln!(
         "{} frame {frame} via {algo}: build {build_ms:.2} ms, render {render_ms:.2} ms, \
          {}/{} rays hit",
-        scene.name, stats.primary_hits, stats.primary_rays
+        scene.name,
+        stats.primary_hits,
+        stats.primary_rays
     );
     if options.uses_packets() {
-        println!(
+        outln!(
             "packets: {} traced at w={}, {:.1}% lane utilization, {:.1}% frustum-resolved \
              steps, {} scalar-fallback lanes",
             packet.packets,
@@ -196,7 +199,7 @@ fn cmd_render(args: &Args) -> Result<(), String> {
     let default_name = format!("{}_{frame}.ppm", scene.name);
     let out = args.options.get("out").cloned().unwrap_or(default_name);
     image.save_ppm(&out).map_err(|e| e.to_string())?;
-    println!("wrote {out}");
+    outln!("wrote {out}");
     Ok(())
 }
 
@@ -272,7 +275,7 @@ fn cmd_tune(args: &Args) -> Result<(), String> {
     for i in 0..frames {
         let r = pipeline.step();
         if i % 10 == 0 || i + 1 == frames {
-            println!(
+            outln!(
                 "frame {:>4} [{:<9}] {:<24} {:>8.2} ms",
                 i,
                 format!("{:?}", r.phase),
@@ -281,9 +284,9 @@ fn cmd_tune(args: &Args) -> Result<(), String> {
             );
         }
     }
-    let tuner = pipeline.workflow().tuner();
+    let tuner = pipeline.tuner();
     let (best, cost) = tuner.best().ok_or("no measurements")?;
-    println!(
+    outln!(
         "\nbest {} at {:.2} ms/frame — converged: {}, retunes: {}",
         best,
         cost * 1e3,
@@ -293,7 +296,7 @@ fn cmd_tune(args: &Args) -> Result<(), String> {
     telemetry::flush();
     telemetry::clear_recorder();
     if let Some(path) = args.options.get("trace") {
-        println!("trace written to {path} (inspect with `kdtune report {path}`)");
+        outln!("trace written to {path} (inspect with `kdtune report {path}`)");
     }
     Ok(())
 }
@@ -425,23 +428,28 @@ fn cmd_report(args: &Args) -> Result<(), String> {
         return Err(format!("{path}: no telemetry records found"));
     }
 
-    println!("{path}: {total_records} records, {frames} frames");
+    outln!("{path}: {total_records} records, {frames} frames");
     if skipped > 0 {
-        println!("({skipped} malformed lines skipped)");
+        outln!("({skipped} malformed lines skipped)");
     }
     if timeline.is_empty() {
-        println!("\nno tuner lifecycle events in this trace");
+        outln!("\nno tuner lifecycle events in this trace");
     } else {
-        println!("\nconvergence timeline:");
+        outln!("\nconvergence timeline:");
         for entry in &timeline {
-            println!("  {entry}");
+            outln!("  {entry}");
         }
     }
     if frames > 0 {
-        println!("\nper-frame latency:");
-        println!(
+        outln!("\nper-frame latency:");
+        outln!(
             "  {:<8} {:>8} {:>10} {:>10} {:>10} {:>10}",
-            "stage", "count", "mean", "p50", "p90", "p99"
+            "stage",
+            "count",
+            "mean",
+            "p50",
+            "p90",
+            "p99"
         );
         for (label, h) in [
             ("build", &build_h),
@@ -449,7 +457,7 @@ fn cmd_report(args: &Args) -> Result<(), String> {
             ("total", &total_h),
         ] {
             let s = h.summary();
-            println!(
+            outln!(
                 "  {:<8} {:>8} {:>10} {:>10} {:>10} {:>10}",
                 label,
                 s.count,
@@ -461,16 +469,21 @@ fn cmd_report(args: &Args) -> Result<(), String> {
         }
     }
     if requests > 0 {
-        println!("\nper-request server stages ({requests} requests):");
-        println!(
+        outln!("\nper-request server stages ({requests} requests):");
+        outln!(
             "  {:<10} {:>8} {:>10} {:>10} {:>10} {:>10}",
-            "stage", "count", "mean", "p50", "p95", "p99"
+            "stage",
+            "count",
+            "mean",
+            "p50",
+            "p95",
+            "p99"
         );
         for (_, label, h) in &request_stages {
             if h.count() == 0 {
                 continue;
             }
-            println!(
+            outln!(
                 "  {:<10} {:>8} {:>10} {:>10} {:>10} {:>10}",
                 label,
                 h.count(),
@@ -482,12 +495,12 @@ fn cmd_report(args: &Args) -> Result<(), String> {
         }
     }
     if !slow_requests.is_empty() {
-        println!("\nslow request exemplars ({}):", slow_requests.len());
+        outln!("\nslow request exemplars ({}):", slow_requests.len());
         for line in slow_requests.iter().take(10) {
-            println!("  {line}");
+            outln!("  {line}");
         }
         if slow_requests.len() > 10 {
-            println!("  ... and {} more", slow_requests.len() - 10);
+            outln!("  ... and {} more", slow_requests.len() - 10);
         }
     }
     if !rays_per_sec.is_empty() {
@@ -495,15 +508,15 @@ fn cmd_report(args: &Args) -> Result<(), String> {
         let mean = rays_per_sec.iter().sum::<f64>() / rays_per_sec.len() as f64;
         let p50 = rays_per_sec[rays_per_sec.len() / 2];
         let max = *rays_per_sec.last().unwrap();
-        println!("\ntraversal throughput:");
-        println!(
+        outln!("\ntraversal throughput:");
+        outln!(
             "  rays/sec  mean {:.2}M  p50 {:.2}M  max {:.2}M",
             mean / 1e6,
             p50 / 1e6,
             max / 1e6
         );
         if let Some(nb) = node_bytes_last {
-            println!(
+            outln!(
                 "  tree nodes  {:.1} KiB packed (8 B/node)",
                 nb as f64 / 1024.0
             );
@@ -527,7 +540,7 @@ fn cmd_select(args: &Args) -> Result<(), String> {
         } else {
             ""
         };
-        println!(
+        outln!(
             "{:<11} {:>8.2} ms  {}{}",
             c.algorithm.name(),
             c.tuned_cost * 1e3,
@@ -544,7 +557,7 @@ fn cmd_export(args: &Args) -> Result<(), String> {
     let frame = args.num("frame", 0)?;
     let mesh = scene.frame(frame);
     kdtune::geometry::obj::save(&mesh, path).map_err(|e| e.to_string())?;
-    println!("wrote {} ({} triangles)", path, mesh.len());
+    outln!("wrote {} ({} triangles)", path, mesh.len());
     Ok(())
 }
 
@@ -562,7 +575,7 @@ fn cmd_cache(args: &Args) -> Result<(), String> {
     kdtune::kdtree::io::save(tree, path).map_err(|e| e.to_string())?;
     // Round-trip sanity so a corrupted write is caught immediately.
     let loaded = kdtune::kdtree::io::load(path).map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "wrote {path}: {} nodes over {} triangles (verified reload)",
         loaded.node_count(),
         loaded.mesh().len()
@@ -599,7 +612,7 @@ fn main() -> ExitCode {
         Some("export") => cmd_export(&args),
         Some("cache") => cmd_cache(&args),
         _ => {
-            println!("{USAGE}");
+            outln!("{USAGE}");
             return ExitCode::SUCCESS;
         }
     };

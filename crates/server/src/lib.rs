@@ -55,5 +55,5 @@ pub use loadgen::{LoadgenOptions, LoadgenReport};
 pub use protocol::{Command, ErrorCode, QueryShape, Request, SessionSpec, Workload};
 pub use router::{Router, RouterConfig, ShardMode};
 pub use server::{RenderServer, ServerConfig};
-pub use session::{QuerySession, Session, SessionManager};
+pub use session::{Session, SessionManager};
 pub use store::ConfigStore;

@@ -989,17 +989,12 @@ fn handle_render(
     let session = state.sessions.get_or_create(spec)?;
     // Snapshot what we need, then drop the session lock before building
     // or rendering: render work must not serialize behind one session.
-    let (params, tuned, values, scene) = {
+    let (params, values, scene) = {
         let mut session = session.lock();
-        session.renders += 1;
-        let (params, tuned) = session.current_params();
-        (
-            params,
-            tuned,
-            session.best_values(),
-            session.scene().clone(),
-        )
+        let (params, values) = session.serve();
+        (params, values, session.scene().clone())
     };
+    let tuned = values.is_some();
     let frame = frame % scene.frame_count().max(1);
     let mesh = scene.frame(frame);
     let view = scene.view;
@@ -1119,29 +1114,24 @@ fn handle_query(
     seed: u64,
     trace: &mut TraceContext,
 ) -> Result<JsonValue, (ErrorCode, String)> {
-    let session = state.sessions.get_or_create_query(spec)?;
+    let session = state.sessions.get_or_create(spec)?;
     // Snapshot under the lock, then build and query without it: batches
     // for one session must not serialize behind each other.
-    let (params, tuned, values, mesh, shape, radius) = {
+    let (params, values, target) = {
         let mut session = session.lock();
-        session.queries += 1;
-        let (params, tuned) = session.current_params();
-        (
-            params,
-            tuned,
-            session.best_values(),
-            Arc::clone(session.mesh()),
-            session.shape(),
-            session.radius(),
-        )
+        let (params, values) = session.serve();
+        (params, values, session.query_target().cloned())
     };
+    let target =
+        target.ok_or_else(|| (ErrorCode::Internal, "query on a render session".to_string()))?;
+    let (shape, tuned) = (target.shape, values.is_some());
     // Query trees are always eager (lazy builds are force-expanded), so
     // unlike the lazy render path they are safe to cache and share.
     let build_started = Instant::now();
     let key = cache_key(spec, 0, &params);
     let (tree, hit) = state.cache.get_or_build(&key, || {
-        Arc::new(crate::session::build_eager(
-            Arc::clone(&mesh),
+        Arc::new(kdtune::build_eager(
+            Arc::clone(&target.mesh),
             spec.algo,
             &params,
         ))
@@ -1150,8 +1140,7 @@ fn handle_query(
     trace.stage("build", (build_secs * 1e6) as u64);
 
     let query_started = Instant::now();
-    let points = kdtune_scenes::sample_points(&mesh, shape.sampler, shape.batch as usize, seed);
-    let stats = crate::session::run_query_batch(tree.as_ref(), &points, shape.k as usize, radius);
+    let stats = target.run_batch(tree.as_ref(), seed);
     let query_secs = query_started.elapsed().as_secs_f64();
     trace.stage("query", (query_secs * 1e6) as u64);
 
@@ -1193,24 +1182,14 @@ fn handle_tune(
     steps: usize,
     trace: &mut TraceContext,
 ) -> Result<JsonValue, (ErrorCode, String)> {
-    // Both session kinds expose the same tune surface; the workload axis
-    // picks which map (and which cost function) the step advances.
-    let (warm_started, summary) = if matches!(spec.workload, crate::protocol::Workload::Query(_)) {
-        let session = state.sessions.get_or_create_query(spec)?;
-        let mut session = session.lock();
-        let warm_started = session.warm_started();
-        let t0 = Instant::now();
-        let summary = session.tune(steps, state.sessions.store());
-        trace.stage("tune", t0.elapsed().as_micros() as u64);
-        (warm_started, summary)
-    } else {
+    // The spec's workload picks the cost each tuner cycle measures.
+    let (warm_started, summary) = {
         let session = state.sessions.get_or_create(spec)?;
         let mut session = session.lock();
-        let warm_started = session.warm_started();
         let t0 = Instant::now();
         let summary = session.tune(steps, state.sessions.store());
         trace.stage("tune", t0.elapsed().as_micros() as u64);
-        (warm_started, summary)
+        (session.warm_started(), summary)
     };
     Ok(JsonValue::object([
         ("session", JsonValue::from(spec.id())),

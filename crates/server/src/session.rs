@@ -7,22 +7,24 @@
 //! stored best, which is the end-to-end payoff measured by the
 //! warm-vs-cold integration test.
 //!
-//! Two session kinds share this machinery, keyed by the spec's
-//! [`Workload`]: [`Session`] tunes build parameters on ray-traced frame
-//! time, [`QuerySession`] tunes the *same* parameter space on k-NN +
-//! radius-gather batch latency. Because the cost surfaces differ, the
-//! two converge to different trees — which is the reason the workload
-//! axis exists everywhere (session map, tree cache, config store).
+//! Render and query sessions are one type. The spec's [`Workload`]
+//! decides three things and nothing else: what one tuner cycle measures
+//! (build plus frame for render sessions, an eager build plus one point
+//! batch for query sessions), which store workload the session
+//! warm-starts from and records to, and which extra keys
+//! [`Session::summary_json`] reports. Because the cost surfaces differ,
+//! the two converge to different trees — which is the reason the
+//! workload axis exists everywhere (session map, tree cache, config
+//! store).
 
 use crate::protocol::{ErrorCode, QueryShape, SessionSpec, Workload};
 use crate::store::ConfigStore;
 use kdtune::{
-    base_build_params, build, Algorithm, BuildParams, BuiltTree, RenderOptions, Scene, SceneParams,
-    StopReason, TunedPipeline, Tuner, TunerPhase,
+    base_build_params, build_eager, params_from_values, run_query_batch, BuildParams,
+    QueryBatchStats, RenderOptions, Scene, SceneParams, StopReason, TunedPipeline, TunerPhase,
 };
-use kdtune_autotune::ParamHandle;
-use kdtune_geometry::{TriangleMesh, Vec3};
-use kdtune_kdtree::{KdTree, Neighbor};
+use kdtune_geometry::TriangleMesh;
+use kdtune_kdtree::KdTree;
 use kdtune_scenes::sample_points;
 use kdtune_telemetry::json::JsonValue;
 use kdtune_telemetry::{self as telemetry};
@@ -46,23 +48,6 @@ pub fn scale_params(scale: &str) -> Result<SceneParams, (ErrorCode, String)> {
     }
 }
 
-/// Converts tuned search-space values back into build parameters.
-/// The space is `[CI, CB, S]`, plus `R` for the lazy algorithm only.
-pub fn params_from_values(algorithm: Algorithm, values: &[i64]) -> BuildParams {
-    let get = |i: usize, default: i64| values.get(i).copied().unwrap_or(default);
-    let r = if algorithm == Algorithm::Lazy {
-        get(3, 4096)
-    } else {
-        4096
-    };
-    BuildParams::from_config(
-        get(0, 17) as f32,
-        get(1, 10) as f32,
-        get(2, 3) as u32,
-        r as u32,
-    )
-}
-
 /// What one `tune_step` request did.
 #[derive(Clone, Debug)]
 pub struct TuneSummary {
@@ -84,15 +69,43 @@ pub struct TuneSummary {
     pub persisted: bool,
 }
 
-/// One tuning session. Callers hold it behind `Arc<Mutex<_>>` via the
-/// [`SessionManager`].
+/// What a query session's batches run against: the static first frame
+/// (tuning needs a fixed cost surface, and the samplers are deterministic
+/// by seed) and the batch shape.
+#[derive(Clone, Debug)]
+pub struct QueryTarget {
+    /// The batch shape from the session's spec.
+    pub shape: QueryShape,
+    /// Frame 0 of the scene.
+    pub mesh: Arc<TriangleMesh>,
+    /// Gather radius in world units (`radius_pm` × bbox diagonal / 1000).
+    pub radius: f32,
+}
+
+impl QueryTarget {
+    /// Samples the batch for `seed` and runs it against `tree`.
+    pub fn run_batch(&self, tree: &KdTree, seed: u64) -> QueryBatchStats {
+        let points = sample_points(
+            &self.mesh,
+            self.shape.sampler,
+            self.shape.batch as usize,
+            seed,
+        );
+        run_query_batch(tree, &points, self.shape.k as usize, self.radius)
+    }
+}
+
+/// One tuning session, render or query. Callers hold it behind
+/// `Arc<Mutex<_>>` via the [`SessionManager`].
 pub struct Session {
     spec: SessionSpec,
     pipeline: TunedPipeline,
+    /// `Some` exactly for query sessions.
+    query: Option<QueryTarget>,
     warm_started: bool,
     persisted: bool,
-    /// Render requests served (monotonic, informational).
-    pub renders: u64,
+    /// Render or query requests served (monotonic, informational).
+    served: u64,
     /// `tune_step` calls that stopped because the tuner converged.
     stops_converged: u64,
     /// `tune_step` calls that exhausted their step budget first.
@@ -112,7 +125,19 @@ impl Session {
                 ),
             )
         })?;
-        let warm = store.lookup(&spec.scene, spec.algo);
+        let query = match spec.workload {
+            Workload::Render => None,
+            Workload::Query(shape) => {
+                let mesh = scene.frame(0);
+                let radius = shape.radius_pm as f32 / 1000.0 * mesh.bounds().extent().length();
+                Some(QueryTarget {
+                    shape,
+                    mesh,
+                    radius,
+                })
+            }
+        };
+        let warm = store.lookup_workload(&spec.scene, spec.algo, spec.workload.name());
         // Sessions keep a fixed packet width — the spec is part of the
         // session key, so clients pick the width per stream.
         let options = RenderOptions::scalar().with_packet_width(spec.packet_width);
@@ -128,23 +153,20 @@ impl Session {
             vec![
                 ("op", "create".into()),
                 ("session", spec.id().into()),
+                ("workload", spec.workload.name().into()),
                 ("warm_start", warm.is_some().into()),
             ],
         );
         Ok(Session {
             spec,
             pipeline,
+            query,
             warm_started: warm.is_some(),
             persisted: false,
-            renders: 0,
+            served: 0,
             stops_converged: 0,
             stops_frame_budget: 0,
         })
-    }
-
-    /// The spec this session serves.
-    pub fn spec(&self) -> &SessionSpec {
-        &self.spec
     }
 
     /// The scene backing the pipeline.
@@ -152,44 +174,58 @@ impl Session {
         self.pipeline.scene()
     }
 
+    /// What a query session's batches run against (`None` for render
+    /// sessions).
+    pub fn query_target(&self) -> Option<&QueryTarget> {
+        self.query.as_ref()
+    }
+
     /// Whether the tuner was seeded from a stored configuration.
     pub fn warm_started(&self) -> bool {
         self.warm_started
     }
 
-    /// Pipeline steps taken so far.
+    /// Tuner cycles run so far.
     pub fn steps_taken(&self) -> usize {
         self.pipeline.steps_taken()
     }
 
-    /// Best tuned values so far, if the tuner has measured anything.
-    pub fn best_values(&self) -> Option<Vec<i64>> {
-        self.pipeline
-            .workflow()
-            .tuner()
-            .best()
-            .map(|(c, _)| c.values().to_vec())
-    }
-
-    /// Build parameters for plain render requests: the tuner's best when
-    /// one exists, the paper's `C_base` otherwise. The flag is `true`
-    /// when the config came from the tuner.
-    pub fn current_params(&self) -> (BuildParams, bool) {
-        match self.pipeline.workflow().tuner().best() {
-            Some((config, _)) => (params_from_values(self.spec.algo, config.values()), true),
-            None => (base_build_params(), false),
+    /// Counts one served render or query request and returns what it
+    /// builds with: the tuner's best values and their build parameters
+    /// once the tuner has measured anything, the paper's `C_base` and
+    /// `None` before.
+    pub fn serve(&mut self) -> (BuildParams, Option<Vec<i64>>) {
+        self.served += 1;
+        match self.pipeline.tuner().best() {
+            Some((config, _)) => (
+                params_from_values(self.spec.algo, config.values()),
+                Some(config.values().to_vec()),
+            ),
+            None => (base_build_params(), None),
         }
     }
 
-    /// Runs up to `steps` tuner steps, persisting to `store` the first
-    /// time the session converges.
+    /// Runs up to `steps` tuner cycles, persisting to `store` the first
+    /// time the session converges. A render cycle builds and renders the
+    /// next frame; a query cycle builds the eager tree with the cycle's
+    /// configuration and times one point batch on it.
     pub fn tune(&mut self, steps: usize, store: &ConfigStore) -> TuneSummary {
-        let (frames, reason) = self.pipeline.run_budget(steps);
+        let algo = self.spec.algo;
+        let (steps_run, reason) = match &self.query {
+            None => self.pipeline.run_budget(steps),
+            Some(target) => self.pipeline.run_budget_with(steps, |params, cycle| {
+                let t0 = Instant::now();
+                let tree = build_eager(Arc::clone(&target.mesh), algo, params);
+                // Decorrelate batches across cycles while staying replayable.
+                target.run_batch(&tree, SESSION_TUNER_SEED ^ cycle as u64);
+                t0.elapsed().as_secs_f64()
+            }),
+        };
         match reason {
             StopReason::Converged => self.stops_converged += 1,
             StopReason::FrameBudget => self.stops_frame_budget += 1,
         }
-        let tuner = self.pipeline.workflow().tuner();
+        let tuner = self.pipeline.tuner();
         let converged = tuner.converged();
         let phase = tuner.phase();
         let (best_values, best_cost) = match tuner.best() {
@@ -200,9 +236,10 @@ impl Session {
         if converged && !self.persisted && !best_values.is_empty() {
             self.persisted = true;
             persisted = store
-                .record(
+                .record_workload(
                     &self.spec.scene,
-                    self.spec.algo,
+                    algo,
+                    self.spec.workload.name(),
                     self.spec.res,
                     &best_values,
                     best_cost,
@@ -215,14 +252,15 @@ impl Session {
             vec![
                 ("op", "tune".into()),
                 ("session", self.spec.id().into()),
-                ("steps_run", frames.len().into()),
+                ("workload", self.spec.workload.name().into()),
+                ("steps_run", steps_run.into()),
                 ("reason", reason.as_str().into()),
                 ("phase", phase.as_str().into()),
                 ("persisted", persisted.into()),
             ],
         );
         TuneSummary {
-            steps_run: frames.len(),
+            steps_run,
             total_steps: self.pipeline.steps_taken(),
             reason,
             converged,
@@ -234,9 +272,10 @@ impl Session {
     }
 
     /// Point-in-time convergence summary, as exposed per session in the
-    /// `stats` response (`sessions.detail`).
+    /// `stats` response (`sessions.detail`). Render sessions add
+    /// `renders`; query sessions add `queries` and their batch shape.
     pub fn summary_json(&self) -> JsonValue {
-        let tuner = self.pipeline.workflow().tuner();
+        let tuner = self.pipeline.tuner();
         let (best_values, best_cost) = match tuner.best() {
             Some((config, cost)) => (
                 config
@@ -250,15 +289,14 @@ impl Session {
             ),
             None => (JsonValue::Null, JsonValue::Null),
         };
-        JsonValue::object([
+        let mut fields = vec![
             ("id", JsonValue::from(self.spec.id())),
-            ("workload", "render".into()),
+            ("workload", self.spec.workload.name().into()),
             ("phase", tuner.phase().as_str().into()),
             ("converged", tuner.converged().into()),
             ("steps", self.pipeline.steps_taken().into()),
             ("measurements", tuner.iterations().into()),
             ("retunes", tuner.retunes().into()),
-            ("renders", self.renders.into()),
             ("warm_started", self.warm_started.into()),
             ("persisted", self.persisted.into()),
             (
@@ -270,326 +308,18 @@ impl Session {
             ),
             ("best_config", best_values),
             ("best_cost_ms", best_cost),
-        ])
-    }
-}
-
-/// Aggregate results of one k-NN + radius-gather batch.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct QueryBatchStats {
-    /// Points queried.
-    pub points: usize,
-    /// Total neighbors returned across every k-NN query.
-    pub knn_results: u64,
-    /// Total prims gathered across every radius query.
-    pub radius_results: u64,
-    /// Mean squared distance to each query's farthest k-NN neighbor —
-    /// a cheap content checksum clients can compare across configs.
-    pub mean_knn_far_d2: f64,
-}
-
-/// Runs one batch of point queries against `tree`, reusing result
-/// buffers so the measurement sees the kernels' zero-allocation path.
-pub fn run_query_batch(tree: &KdTree, points: &[Vec3], k: usize, radius: f32) -> QueryBatchStats {
-    let mut knn_buf: Vec<Neighbor> = Vec::with_capacity(k);
-    let mut radius_buf: Vec<Neighbor> = Vec::new();
-    let mut stats = QueryBatchStats {
-        points: points.len(),
-        ..QueryBatchStats::default()
-    };
-    let mut far_sum = 0.0f64;
-    for &p in points {
-        tree.knn_into(p, k, &mut knn_buf);
-        stats.knn_results += knn_buf.len() as u64;
-        if let Some(last) = knn_buf.last() {
-            far_sum += last.d2 as f64;
+        ];
+        match &self.query {
+            None => fields.push(("renders", self.served.into())),
+            Some(QueryTarget { shape, .. }) => fields.extend([
+                ("sampler", shape.sampler.name().into()),
+                ("batch", shape.batch.into()),
+                ("k", shape.k.into()),
+                ("radius_pm", shape.radius_pm.into()),
+                ("queries", self.served.into()),
+            ]),
         }
-        tree.radius_gather_into(p, radius, &mut radius_buf);
-        stats.radius_results += radius_buf.len() as u64;
-    }
-    if !points.is_empty() {
-        stats.mean_knn_far_d2 = far_sum / points.len() as f64;
-    }
-    stats
-}
-
-/// A point-query tuning session: same search space as [`Session`]
-/// (`CI`/`CB`/`S`, plus `R` for lazy), but the measured cost is
-/// build-plus-query-batch latency instead of build-plus-render frame
-/// time.
-pub struct QuerySession {
-    spec: SessionSpec,
-    shape: QueryShape,
-    mesh: Arc<TriangleMesh>,
-    /// Gather radius in world units (`radius_pm` × bbox diagonal / 1000).
-    radius: f32,
-    tuner: Tuner,
-    handles: (ParamHandle, ParamHandle, ParamHandle, Option<ParamHandle>),
-    warm_started: bool,
-    persisted: bool,
-    steps: usize,
-    /// Query requests served (monotonic, informational).
-    pub queries: u64,
-    stops_converged: u64,
-    stops_frame_budget: u64,
-}
-
-impl QuerySession {
-    fn create(spec: SessionSpec, store: &ConfigStore) -> Result<QuerySession, (ErrorCode, String)> {
-        let Workload::Query(shape) = spec.workload else {
-            return Err((
-                ErrorCode::Internal,
-                "query session created from a render spec".into(),
-            ));
-        };
-        let params = scale_params(&spec.scale)?;
-        let scene = kdtune_scenes::by_name(&spec.scene, &params).ok_or_else(|| {
-            (
-                ErrorCode::UnknownScene,
-                format!(
-                    "unknown scene {:?} (expected one of {:?})",
-                    spec.scene,
-                    kdtune_scenes::SCENE_NAMES
-                ),
-            )
-        })?;
-        // Query batches target the static first frame: tuning needs a
-        // fixed cost surface, and the samplers are deterministic by seed.
-        let mesh = scene.frame(0);
-        let radius = shape.radius_pm as f32 / 1000.0 * mesh.bounds().extent().length();
-        let warm = store.lookup_workload(&spec.scene, spec.algo, "query");
-        let mut builder = Tuner::builder().seed(SESSION_TUNER_SEED);
-        if let Some(stored) = &warm {
-            builder = builder.warm_start(&stored.values);
-        }
-        let mut tuner = builder.build();
-        let ci = tuner.register_parameter("CI", 3, 101, 1);
-        let cb = tuner.register_parameter("CB", 0, 60, 1);
-        let s = tuner.register_parameter("S", 1, 8, 1);
-        let r =
-            (spec.algo == Algorithm::Lazy).then(|| tuner.register_parameter_pow2("R", 16, 8192));
-        telemetry::event_owned(
-            "server.session",
-            vec![
-                ("op", "create".into()),
-                ("session", spec.id().into()),
-                ("workload", "query".into()),
-                ("warm_start", warm.is_some().into()),
-            ],
-        );
-        Ok(QuerySession {
-            spec,
-            shape,
-            mesh,
-            radius,
-            tuner,
-            handles: (ci, cb, s, r),
-            warm_started: warm.is_some(),
-            persisted: false,
-            steps: 0,
-            queries: 0,
-            stops_converged: 0,
-            stops_frame_budget: 0,
-        })
-    }
-
-    /// The spec this session serves.
-    pub fn spec(&self) -> &SessionSpec {
-        &self.spec
-    }
-
-    /// The batch shape queries run with.
-    pub fn shape(&self) -> QueryShape {
-        self.shape
-    }
-
-    /// The mesh queries run against.
-    pub fn mesh(&self) -> &Arc<TriangleMesh> {
-        &self.mesh
-    }
-
-    /// Gather radius in world units.
-    pub fn radius(&self) -> f32 {
-        self.radius
-    }
-
-    /// Whether the tuner was seeded from a stored configuration.
-    pub fn warm_started(&self) -> bool {
-        self.warm_started
-    }
-
-    /// Tuner measurement cycles run so far.
-    pub fn steps_taken(&self) -> usize {
-        self.steps
-    }
-
-    /// Best tuned values so far, if the tuner has measured anything.
-    pub fn best_values(&self) -> Option<Vec<i64>> {
-        self.tuner.best().map(|(c, _)| c.values().to_vec())
-    }
-
-    /// Build parameters for query requests: the tuner's best when one
-    /// exists, the paper's `C_base` otherwise.
-    pub fn current_params(&self) -> (BuildParams, bool) {
-        match self.tuner.best() {
-            Some((config, _)) => (params_from_values(self.spec.algo, config.values()), true),
-            None => (base_build_params(), false),
-        }
-    }
-
-    /// Runs one measured batch against an externally built (usually
-    /// cached) tree.
-    pub fn run_batch(&mut self, tree: &KdTree, seed: u64) -> QueryBatchStats {
-        self.queries += 1;
-        let points = sample_points(
-            &self.mesh,
-            self.shape.sampler,
-            self.shape.batch as usize,
-            seed,
-        );
-        run_query_batch(tree, &points, self.shape.k as usize, self.radius)
-    }
-
-    /// Runs up to `steps` tuner cycles — each one builds a tree with the
-    /// tuner's candidate config and times a full query batch on it —
-    /// persisting to `store` (workload `"query"`) the first time the
-    /// session converges.
-    pub fn tune(&mut self, steps: usize, store: &ConfigStore) -> TuneSummary {
-        let mut steps_run = 0;
-        let mut reason = StopReason::FrameBudget;
-        for _ in 0..steps {
-            if self.tuner.converged() {
-                reason = StopReason::Converged;
-                break;
-            }
-            self.tuner.start_cycle();
-            let values: Vec<i64> = {
-                let (ci, cb, s, r) = &self.handles;
-                let mut v = vec![self.tuner.get(*ci), self.tuner.get(*cb), self.tuner.get(*s)];
-                if let Some(r) = r {
-                    v.push(self.tuner.get(*r));
-                }
-                v
-            };
-            let params = params_from_values(self.spec.algo, &values);
-            let t0 = Instant::now();
-            let tree = build_eager(Arc::clone(&self.mesh), self.spec.algo, &params);
-            // Decorrelate batches across cycles while staying replayable.
-            let seed = SESSION_TUNER_SEED ^ self.tuner.iterations() as u64;
-            let points = sample_points(
-                &self.mesh,
-                self.shape.sampler,
-                self.shape.batch as usize,
-                seed,
-            );
-            run_query_batch(&tree, &points, self.shape.k as usize, self.radius);
-            let cost = t0.elapsed().as_secs_f64();
-            self.tuner.stop_with(cost);
-            self.steps += 1;
-            steps_run += 1;
-        }
-        if self.tuner.converged() {
-            reason = StopReason::Converged;
-        }
-        match reason {
-            StopReason::Converged => self.stops_converged += 1,
-            StopReason::FrameBudget => self.stops_frame_budget += 1,
-        }
-        let converged = self.tuner.converged();
-        let phase = self.tuner.phase();
-        let (best_values, best_cost) = match self.tuner.best() {
-            Some((config, cost)) => (config.values().to_vec(), cost),
-            None => (Vec::new(), 0.0),
-        };
-        let mut persisted = false;
-        if converged && !self.persisted && !best_values.is_empty() {
-            self.persisted = true;
-            persisted = store
-                .record_workload(
-                    &self.spec.scene,
-                    self.spec.algo,
-                    "query",
-                    self.spec.res,
-                    &best_values,
-                    best_cost,
-                    self.steps as u64,
-                )
-                .unwrap_or(false);
-        }
-        telemetry::event_owned(
-            "server.session",
-            vec![
-                ("op", "tune".into()),
-                ("session", self.spec.id().into()),
-                ("workload", "query".into()),
-                ("steps_run", steps_run.into()),
-                ("reason", reason.as_str().into()),
-                ("phase", phase.as_str().into()),
-                ("persisted", persisted.into()),
-            ],
-        );
-        TuneSummary {
-            steps_run,
-            total_steps: self.steps,
-            reason,
-            converged,
-            phase,
-            best_values,
-            best_cost,
-            persisted,
-        }
-    }
-
-    /// Point-in-time convergence summary for `stats` (`sessions.detail`).
-    pub fn summary_json(&self) -> JsonValue {
-        let (best_values, best_cost) = match self.tuner.best() {
-            Some((config, cost)) => (
-                config
-                    .values()
-                    .iter()
-                    .copied()
-                    .map(JsonValue::from)
-                    .collect::<Vec<_>>()
-                    .into(),
-                JsonValue::from(cost * 1e3),
-            ),
-            None => (JsonValue::Null, JsonValue::Null),
-        };
-        JsonValue::object([
-            ("id", JsonValue::from(self.spec.id())),
-            ("workload", "query".into()),
-            ("sampler", self.shape.sampler.name().into()),
-            ("batch", self.shape.batch.into()),
-            ("k", self.shape.k.into()),
-            ("radius_pm", self.shape.radius_pm.into()),
-            ("phase", self.tuner.phase().as_str().into()),
-            ("converged", self.tuner.converged().into()),
-            ("steps", self.steps.into()),
-            ("measurements", self.tuner.iterations().into()),
-            ("retunes", self.tuner.retunes().into()),
-            ("queries", self.queries.into()),
-            ("warm_started", self.warm_started.into()),
-            ("persisted", self.persisted.into()),
-            (
-                "stops",
-                JsonValue::object([
-                    ("converged", JsonValue::from(self.stops_converged)),
-                    ("frame_budget", self.stops_frame_budget.into()),
-                ]),
-            ),
-            ("best_config", best_values),
-            ("best_cost_ms", best_cost),
-        ])
-    }
-}
-
-/// Builds the eager form of a tree for query work: lazy builds are
-/// force-expanded, since point queries (unlike rays) visit leaves in an
-/// unbounded pattern and the expansion cost is part of what `R` tunes.
-pub fn build_eager(mesh: Arc<TriangleMesh>, algorithm: Algorithm, params: &BuildParams) -> KdTree {
-    match build(mesh, algorithm, params) {
-        BuiltTree::Eager(tree) => tree,
-        BuiltTree::Lazy(lazy) => lazy.to_eager(),
+        JsonValue::object(fields)
     }
 }
 
@@ -597,7 +327,6 @@ pub fn build_eager(mesh: Arc<TriangleMesh>, algorithm: Algorithm, params: &Build
 pub struct SessionManager {
     store: Arc<ConfigStore>,
     sessions: Mutex<HashMap<String, Arc<Mutex<Session>>>>,
-    query_sessions: Mutex<HashMap<String, Arc<Mutex<QuerySession>>>>,
 }
 
 impl SessionManager {
@@ -606,7 +335,6 @@ impl SessionManager {
         SessionManager {
             store,
             sessions: Mutex::new(HashMap::new()),
-            query_sessions: Mutex::new(HashMap::new()),
         }
     }
 
@@ -634,39 +362,14 @@ impl SessionManager {
         Ok(Arc::clone(entry))
     }
 
-    /// Returns the query session for `spec` (whose workload must be
-    /// [`Workload::Query`]), creating it on first use with the same
-    /// first-insert-wins race handling as [`get_or_create`](Self::get_or_create).
-    pub fn get_or_create_query(
-        &self,
-        spec: &SessionSpec,
-    ) -> Result<Arc<Mutex<QuerySession>>, (ErrorCode, String)> {
-        let id = spec.id();
-        if let Some(session) = self.query_sessions.lock().get(&id) {
-            return Ok(Arc::clone(session));
-        }
-        let session = QuerySession::create(spec.clone(), &self.store)?;
-        let mut sessions = self.query_sessions.lock();
-        let entry = sessions
-            .entry(id)
-            .or_insert_with(|| Arc::new(Mutex::new(session)));
-        Ok(Arc::clone(entry))
-    }
-
     /// Number of live sessions across both workloads.
     pub fn count(&self) -> usize {
-        self.sessions.lock().len() + self.query_sessions.lock().len()
-    }
-
-    /// Number of live query sessions.
-    pub fn query_count(&self) -> usize {
-        self.query_sessions.lock().len()
+        self.sessions.lock().len()
     }
 
     /// Session ids across both workloads, sorted (for stats reporting).
     pub fn ids(&self) -> Vec<String> {
         let mut ids: Vec<String> = self.sessions.lock().keys().cloned().collect();
-        ids.extend(self.query_sessions.lock().keys().cloned());
         ids.sort();
         ids
     }
@@ -675,47 +378,36 @@ impl SessionManager {
     /// a worker (lock held) are reported as `{"id":…,"busy":true}` rather
     /// than blocking the stats path behind a tune step.
     pub fn summaries(&self) -> Vec<JsonValue> {
-        let render_entries: Vec<(String, Arc<Mutex<Session>>)> = {
+        let mut entries: Vec<(String, Arc<Mutex<Session>>)> = {
             let sessions = self.sessions.lock();
             sessions
                 .iter()
                 .map(|(id, s)| (id.clone(), Arc::clone(s)))
                 .collect()
         };
-        let query_entries: Vec<(String, Arc<Mutex<QuerySession>>)> = {
-            let sessions = self.query_sessions.lock();
-            sessions
-                .iter()
-                .map(|(id, s)| (id.clone(), Arc::clone(s)))
-                .collect()
-        };
-        let busy_json =
-            |id: String| JsonValue::object([("id", JsonValue::from(id)), ("busy", true.into())]);
-        let mut entries: Vec<(String, JsonValue)> = render_entries
-            .into_iter()
-            .map(|(id, session)| {
-                let json = match session.try_lock() {
-                    Some(session) => session.summary_json(),
-                    None => busy_json(id.clone()),
-                };
-                (id, json)
-            })
-            .collect();
-        entries.extend(query_entries.into_iter().map(|(id, session)| {
-            let json = match session.try_lock() {
-                Some(session) => session.summary_json(),
-                None => busy_json(id.clone()),
-            };
-            (id, json)
-        }));
         entries.sort_by(|a, b| a.0.cmp(&b.0));
-        entries.into_iter().map(|(_, json)| json).collect()
+        entries
+            .into_iter()
+            .map(|(id, session)| match session.try_lock() {
+                Some(session) => session.summary_json(),
+                None => JsonValue::object([("id", JsonValue::from(id)), ("busy", true.into())]),
+            })
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kdtune::Algorithm;
+
+    /// Held by the tests that compare wall-clock tuning runs, so one never
+    /// measures while another is tuning on the same cores.
+    static TIMED: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn timed() -> std::sync::MutexGuard<'static, ()> {
+        TIMED.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     fn temp_store(tag: &str) -> ConfigStore {
         let path =
@@ -779,26 +471,20 @@ mod tests {
     fn untuned_session_renders_with_the_paper_baseline() {
         let manager = SessionManager::new(Arc::new(temp_store("baseline")));
         let session = manager.get_or_create(&spec("wood_doll")).unwrap();
-        let session = session.lock();
-        let (params, tuned) = session.current_params();
-        assert!(!tuned);
+        let mut session = session.lock();
+        assert!(session.query_target().is_none());
+        let (params, values) = session.serve();
+        assert!(values.is_none());
         assert_eq!(
             (params.s, params.r),
             (base_build_params().s, base_build_params().r)
         );
-        assert!(session.best_values().is_none());
-    }
-
-    #[test]
-    fn params_from_values_honors_the_lazy_r_dimension() {
-        let eager = params_from_values(Algorithm::InPlace, &[21, 11, 4]);
-        assert_eq!((eager.s, eager.r), (4, 4096));
-        let lazy = params_from_values(Algorithm::Lazy, &[21, 11, 4, 256]);
-        assert_eq!((lazy.s, lazy.r), (4, 256));
+        assert_eq!(session.summary_json().get("renders"), Some(&1.into()));
     }
 
     #[test]
     fn tune_persists_once_on_convergence_and_warm_starts_the_next_manager() {
+        let _timed = timed();
         let store = Arc::new(temp_store("warm"));
         let path = store.path().to_path_buf();
         let cold_steps;
@@ -852,15 +538,10 @@ mod tests {
     fn render_and_query_sessions_are_isolated() {
         let manager = SessionManager::new(Arc::new(temp_store("isolated")));
         let _render = manager.get_or_create(&spec("wood_doll")).unwrap();
-        let q1 = manager
-            .get_or_create_query(&query_spec("wood_doll"))
-            .unwrap();
-        let q2 = manager
-            .get_or_create_query(&query_spec("wood_doll"))
-            .unwrap();
+        let q1 = manager.get_or_create(&query_spec("wood_doll")).unwrap();
+        let q2 = manager.get_or_create(&query_spec("wood_doll")).unwrap();
         assert!(Arc::ptr_eq(&q1, &q2), "equal query specs share a session");
         assert_eq!(manager.count(), 2);
-        assert_eq!(manager.query_count(), 1);
         let ids = manager.ids();
         assert!(ids.iter().any(|id| id.contains("/query/")), "{ids:?}");
         let summaries = manager.summaries();
@@ -875,34 +556,36 @@ mod tests {
     #[test]
     fn query_session_runs_batches_and_reports_results() {
         let manager = SessionManager::new(Arc::new(temp_store("qbatch")));
-        let session = manager
-            .get_or_create_query(&query_spec("wood_doll"))
-            .unwrap();
+        let session = manager.get_or_create(&query_spec("wood_doll")).unwrap();
         let mut session = session.lock();
-        let (params, tuned) = session.current_params();
-        assert!(!tuned, "fresh query session starts at C_base");
-        let tree = build_eager(Arc::clone(session.mesh()), Algorithm::InPlace, &params);
-        let stats = session.run_batch(&tree, 5);
+        let (params, values) = session.serve();
+        assert!(values.is_none(), "fresh query session starts at C_base");
+        let target = session.query_target().expect("query session").clone();
+        let tree = build_eager(Arc::clone(&target.mesh), Algorithm::InPlace, &params);
+        let stats = target.run_batch(&tree, 5);
         assert_eq!(stats.points, 64);
         assert_eq!(stats.knn_results, 64 * 8, "k=8 neighbors per point");
         assert!(stats.mean_knn_far_d2 > 0.0);
         // Same seed, same batch: deterministic replay.
-        let again = session.run_batch(&tree, 5);
+        let again = target.run_batch(&tree, 5);
         assert_eq!(stats.knn_results, again.knn_results);
         assert_eq!(stats.radius_results, again.radius_results);
-        assert_eq!(session.queries, 2);
+        session.serve();
+        let summary = session.summary_json();
+        assert_eq!(summary.get("queries"), Some(&2.into()));
+        assert_eq!(summary.get("batch"), Some(&64.into()));
+        assert!(summary.get("renders").is_none());
     }
 
     #[test]
     fn query_tune_persists_under_the_query_workload_and_warm_starts() {
+        let _timed = timed();
         let store = Arc::new(temp_store("qwarm"));
         let path = store.path().to_path_buf();
         let cold_steps;
         {
             let manager = SessionManager::new(Arc::clone(&store));
-            let session = manager
-                .get_or_create_query(&query_spec("wood_doll"))
-                .unwrap();
+            let session = manager.get_or_create(&query_spec("wood_doll")).unwrap();
             let mut session = session.lock();
             assert!(!session.warm_started());
             let mut persists = 0;
@@ -916,7 +599,12 @@ mod tests {
             }
             cold_steps = session.steps_taken();
             assert_eq!(persists, 1);
-            assert!(!session.tune(1, manager.store()).persisted);
+            // A converged session measures one more cycle per call, then
+            // stops on convergence, and never persists again.
+            let again = session.tune(4, manager.store());
+            assert!(!again.persisted);
+            assert_eq!((again.steps_run, again.reason), (1, StopReason::Converged));
+            assert_eq!(session.steps_taken(), cold_steps + 1);
         }
 
         let store = Arc::new(ConfigStore::open(&path).unwrap());
@@ -927,13 +615,13 @@ mod tests {
             "converged query config must persist under the query workload"
         );
         assert!(
-            store.lookup("wood_doll", Algorithm::InPlace).is_none(),
+            store
+                .lookup_workload("wood_doll", Algorithm::InPlace, "render")
+                .is_none(),
             "query tuning must not pollute render warm starts"
         );
         let manager = SessionManager::new(store);
-        let session = manager
-            .get_or_create_query(&query_spec("wood_doll"))
-            .unwrap();
+        let session = manager.get_or_create(&query_spec("wood_doll")).unwrap();
         let mut session = session.lock();
         assert!(session.warm_started());
         loop {

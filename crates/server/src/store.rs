@@ -77,7 +77,7 @@ pub struct ConfigStore {
 }
 
 impl ConfigStore {
-    /// Opens (or lazily creates on first [`record`](Self::record)) the
+    /// Opens (or lazily creates on first [`record_workload`](Self::record_workload)) the
     /// store at `path`, indexing the lowest-cost entry per key.
     pub fn open(path: impl Into<PathBuf>) -> std::io::Result<ConfigStore> {
         let path = path.into();
@@ -129,12 +129,6 @@ impl ConfigStore {
         self.len() == 0
     }
 
-    /// Best render-workload config for `scene` + `algorithm` under the
-    /// *current* pool width and host, if any.
-    pub fn lookup(&self, scene: &str, algorithm: Algorithm) -> Option<StoredConfig> {
-        self.lookup_workload(scene, algorithm, "render")
-    }
-
     /// Best stored config for `scene` + `algorithm` + `workload` under
     /// the *current* pool width and host, if any.
     pub fn lookup_workload(
@@ -151,20 +145,6 @@ impl ConfigStore {
             &self.host,
         );
         self.best.lock().get(&key).cloned()
-    }
-
-    /// Records a converged render-workload result (see
-    /// [`record_workload`](Self::record_workload)).
-    pub fn record(
-        &self,
-        scene: &str,
-        algorithm: Algorithm,
-        res: u32,
-        values: &[i64],
-        cost: f64,
-        steps: u64,
-    ) -> std::io::Result<bool> {
-        self.record_workload(scene, algorithm, "render", res, values, cost, steps)
     }
 
     /// Records a converged result under a workload axis. Appends to the
@@ -287,29 +267,67 @@ mod tests {
             let store = ConfigStore::open(&path).unwrap();
             assert!(store.is_empty());
             assert!(store
-                .record("bunny", Algorithm::InPlace, 64, &[21, 11, 4], 0.0123, 9)
+                .record_workload(
+                    "bunny",
+                    Algorithm::InPlace,
+                    "render",
+                    64,
+                    &[21, 11, 4],
+                    0.0123,
+                    9
+                )
                 .unwrap());
             // Worse cost for the same key: appended nowhere, index unchanged.
             assert!(!store
-                .record("bunny", Algorithm::InPlace, 64, &[50, 5, 2], 0.5, 3)
+                .record_workload(
+                    "bunny",
+                    Algorithm::InPlace,
+                    "render",
+                    64,
+                    &[50, 5, 2],
+                    0.5,
+                    3
+                )
                 .unwrap());
             // Better cost replaces.
             assert!(store
-                .record("bunny", Algorithm::InPlace, 64, &[19, 12, 4], 0.0100, 12)
+                .record_workload(
+                    "bunny",
+                    Algorithm::InPlace,
+                    "render",
+                    64,
+                    &[19, 12, 4],
+                    0.0100,
+                    12
+                )
                 .unwrap());
             assert!(store
-                .record("bunny", Algorithm::Lazy, 64, &[17, 10, 3, 4096], 0.02, 7)
+                .record_workload(
+                    "bunny",
+                    Algorithm::Lazy,
+                    "render",
+                    64,
+                    &[17, 10, 3, 4096],
+                    0.02,
+                    7
+                )
                 .unwrap());
         }
         let store = ConfigStore::open(&path).unwrap();
         assert_eq!(store.len(), 2);
-        let best = store.lookup("bunny", Algorithm::InPlace).unwrap();
+        let best = store
+            .lookup_workload("bunny", Algorithm::InPlace, "render")
+            .unwrap();
         assert_eq!(best.values, vec![19, 12, 4]);
         assert!((best.cost - 0.0100).abs() < 1e-12);
         assert_eq!(best.steps, 12);
-        let lazy = store.lookup("bunny", Algorithm::Lazy).unwrap();
+        let lazy = store
+            .lookup_workload("bunny", Algorithm::Lazy, "render")
+            .unwrap();
         assert_eq!(lazy.values.len(), 4);
-        assert!(store.lookup("sponza", Algorithm::InPlace).is_none());
+        assert!(store
+            .lookup_workload("sponza", Algorithm::InPlace, "render")
+            .is_none());
         std::fs::remove_file(&path).ok();
     }
 
@@ -332,7 +350,7 @@ mod tests {
         assert_eq!(store.len(), 1);
         assert_eq!(
             store
-                .lookup("fairy_forest", Algorithm::InPlace)
+                .lookup_workload("fairy_forest", Algorithm::InPlace, "render")
                 .unwrap()
                 .values,
             vec![23, 9, 3]
@@ -357,13 +375,17 @@ mod tests {
         std::fs::write(&path, format!("{}\n", encode_line(&entry))).unwrap();
         let store = ConfigStore::open(&path).unwrap();
         assert!(
-            store.lookup("bunny", Algorithm::InPlace).is_none(),
+            store
+                .lookup_workload("bunny", Algorithm::InPlace, "render")
+                .is_none(),
             "a config tuned under another pool width must not warm-start this one"
         );
         entry.threads = rayon::current_num_threads().max(1);
         std::fs::write(&path, format!("{}\n", encode_line(&entry))).unwrap();
         let store = ConfigStore::open(&path).unwrap();
-        assert!(store.lookup("bunny", Algorithm::InPlace).is_some());
+        assert!(store
+            .lookup_workload("bunny", Algorithm::InPlace, "render")
+            .is_some());
         std::fs::remove_file(&path).ok();
     }
 
@@ -374,7 +396,15 @@ mod tests {
         {
             let store = ConfigStore::open(&path).unwrap();
             assert!(store
-                .record("bunny", Algorithm::InPlace, 64, &[21, 11, 4], 0.012, 9)
+                .record_workload(
+                    "bunny",
+                    Algorithm::InPlace,
+                    "render",
+                    64,
+                    &[21, 11, 4],
+                    0.012,
+                    9
+                )
                 .unwrap());
             // A cheaper query-tuned config must not shadow the render best.
             assert!(store
@@ -392,7 +422,10 @@ mod tests {
         let store = ConfigStore::open(&path).unwrap();
         assert_eq!(store.len(), 2, "one best per workload");
         assert_eq!(
-            store.lookup("bunny", Algorithm::InPlace).unwrap().values,
+            store
+                .lookup_workload("bunny", Algorithm::InPlace, "render")
+                .unwrap()
+                .values,
             vec![21, 11, 4]
         );
         assert_eq!(
@@ -414,7 +447,9 @@ mod tests {
             .replace("HOST", &hostname());
         std::fs::write(&path, format!("{legacy}\n")).unwrap();
         let store = ConfigStore::open(&path).unwrap();
-        let best = store.lookup("bunny", Algorithm::InPlace).unwrap();
+        let best = store
+            .lookup_workload("bunny", Algorithm::InPlace, "render")
+            .unwrap();
         assert_eq!(best.workload, "render");
         assert!(
             store

@@ -416,3 +416,24 @@ fn connection_limit_rejects_excess_clients() {
     join_within(handle, Duration::from_secs(30), "max-conns test");
     std::fs::remove_file(&store).ok();
 }
+
+/// A deeply nested request line is a `bad_request`, not a stack overflow
+/// on the event-loop thread: the server answers it and keeps serving
+/// other connections.
+#[test]
+fn deeply_nested_line_is_a_bad_request() {
+    let (addr, handle, store) = start_server("nested", ServerConfig::default());
+
+    let mut nested = LineClient::connect(&addr);
+    let response = nested.roundtrip(&"[".repeat(60_000));
+    assert_eq!(field(&response, &["ok"]).as_bool(), Some(false));
+    assert_eq!(field(&response, &["error"]).as_str(), Some("bad_request"));
+
+    let mut other = LineClient::connect(&addr);
+    let response = other.roundtrip(r#"{"id":2,"cmd":"stats"}"#);
+    assert_eq!(field(&response, &["ok"]).as_bool(), Some(true));
+
+    other.roundtrip(r#"{"id":3,"cmd":"shutdown"}"#);
+    join_within(handle, Duration::from_secs(30), "nested-line test");
+    std::fs::remove_file(&store).ok();
+}

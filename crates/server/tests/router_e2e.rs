@@ -90,6 +90,29 @@ fn render_line(id: i64, scene: &str) -> String {
     )
 }
 
+/// Sends `signal` (`-STOP`, `-9`, …) to `pid`; true when `kill` succeeded.
+fn signal(signal: &str, pid: u64) -> bool {
+    std::process::Command::new("kill")
+        .args([signal, &pid.to_string()])
+        .status()
+        .expect("spawn kill")
+        .success()
+}
+
+/// Kills spawned shard processes if the test unwinds: a failed assertion
+/// must not leave `renderd` children running, holding the test's stdout.
+struct ShardReaper(Vec<u64>);
+
+impl Drop for ShardReaper {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            for &pid in &self.0 {
+                signal("-9", pid);
+            }
+        }
+    }
+}
+
 fn tune_line(id: i64, scene: &str, steps: u32) -> String {
     format!(
         r#"{{"id":{id},"cmd":"tune_step","trace":"t{id}","scene":"{scene}","scale":"tiny","res":32,"steps":{steps}}}"#
@@ -310,6 +333,8 @@ fn spawned_shard_killed_midload_rehashes_and_is_readopted() {
         }
     };
     wait_shards_up(&mut control, 2);
+    let pid_of = |row: &JsonValue| field(row, &["pid"]).as_u64().unwrap();
+    let mut reaper = ShardReaper(shard_rows(&mut control).iter().map(pid_of).collect());
 
     // Seed sessions across both shards, then find which shard owns
     // "bunny" so the kill is aimed at a shard with known keys.
@@ -337,23 +362,26 @@ fn spawned_shard_killed_midload_rehashes_and_is_readopted() {
             )
         })
         .expect("some shard owns the bunny session");
-    let victim_pid = field(&rows[owner], &["pid"]).as_u64().unwrap();
+    let victim_pid = pid_of(&rows[owner]);
 
-    // Pipeline a burst at the doomed shard and kill it mid-burst. Tune
-    // steps (each several tree builds + renders on one worker) keep the
-    // shard busy long enough that the SIGKILL reliably lands with
-    // requests in flight. Every request must get *some* response line —
-    // ok if it completed before the kill landed, a structured
-    // `unavailable` otherwise. A hang here trips the read timeout and
-    // fails the test.
+    // Freeze the doomed shard, pipeline a burst at it, and kill it with
+    // the whole burst in flight. The router handles a connection's lines
+    // in order and answers a malformed line itself, so once that
+    // `bad_request` arrives every tune line before it is pending on the
+    // frozen shard. Every request must get *some* response line — ok if
+    // it completed before the kill landed, a structured `unavailable`
+    // otherwise. A hang here trips the read timeout and fails the test.
+    assert!(
+        signal("-STOP", victim_pid),
+        "kill -STOP {victim_pid} failed"
+    );
     for i in 0..8 {
         client.send(&tune_line(200 + i, "bunny", 4));
     }
-    let killed = std::process::Command::new("kill")
-        .args(["-9", &victim_pid.to_string()])
-        .status()
-        .expect("spawn kill");
-    assert!(killed.success(), "kill -9 {victim_pid} failed");
+    let marker = client.roundtrip("{");
+    assert_eq!(field(&marker, &["error"]).as_str(), Some("bad_request"));
+    let killed = signal("-9", victim_pid);
+    assert!(killed, "kill -9 {victim_pid} failed");
     let mut saw_unavailable = false;
     for _ in 0..8 {
         let response = client.recv();
@@ -396,7 +424,8 @@ fn spawned_shard_killed_midload_rehashes_and_is_readopted() {
     // fresh pid) and readopted into the ring.
     wait_shards_up(&mut control, 2);
     let rows = shard_rows(&mut control);
-    let new_pid = field(&rows[owner], &["pid"]).as_u64().unwrap();
+    let new_pid = pid_of(&rows[owner]);
+    reaper.0.push(new_pid);
     assert_ne!(new_pid, victim_pid, "shard {owner} was not respawned");
     // Its keyspace slice snaps back: bunny renders reach the new child.
     let response = client.roundtrip(&render_line(400, "bunny"));

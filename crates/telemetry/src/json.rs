@@ -292,12 +292,19 @@ impl<V: Into<JsonValue>> From<Vec<V>> for JsonValue {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so without a bound one line of `[` overflows the
+/// stack of whatever thread parses it. Every document the workspace
+/// writes (the deepest is a `stats` reply) stays far below the bound.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON document from `input`, requiring only trailing
-/// whitespace after it.
+/// whitespace after it. Nesting deeper than [`MAX_DEPTH`] is an error.
 pub fn parse(input: &str) -> Result<JsonValue, ParseError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -332,6 +339,8 @@ impl std::error::Error for ParseError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -376,8 +385,19 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
             Some(b'"') => self.string().map(JsonValue::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("nesting deeper than MAX_DEPTH"));
+                }
+                self.depth += 1;
+                let v = if self.peek() == Some(b'[') {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
@@ -667,6 +687,23 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{\"a\":1} junk").is_err());
         assert!(parse("\"\\u0041\"").unwrap().as_str() == Some("A"));
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        let arrays = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        let objects = |n: usize| r#"{"a":"#.repeat(n) + "1" + &"}".repeat(n);
+        assert!(parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(parse(&objects(MAX_DEPTH)).is_ok());
+        let err = parse(&arrays(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH, "{err}");
+        assert!(parse(&objects(MAX_DEPTH + 1)).is_err());
+        // Arrays and objects share one budget.
+        let mixed = |n: usize| "[".repeat(n) + &objects(1) + &"]".repeat(n);
+        assert!(parse(&mixed(MAX_DEPTH - 1)).is_ok());
+        assert!(parse(&mixed(MAX_DEPTH)).is_err());
+        // A run far past the bound fails instead of overflowing the stack.
+        assert!(parse(&"[".repeat(60_000)).is_err());
     }
 
     #[test]

@@ -43,7 +43,7 @@ fn main() {
         }
     }
 
-    let tuner = pipeline.workflow().tuner();
+    let tuner = pipeline.tuner();
     match converged_at {
         Some(i) => println!("\nconverged after {i} frames (paper: ~40 iterations)"),
         None => println!("\nnot converged within {frames} frames"),

@@ -7,9 +7,9 @@
 //! cargo run --release --example portability
 //! ```
 
-use kdtune::raycast::{run_frame_with, Camera};
+use kdtune::raycast::{timed_frame, Camera, RenderOptions};
 use kdtune::scenes::{bunny, sponza, SceneParams};
-use kdtune::{Algorithm, BuildParams, Scene, TunedPipeline};
+use kdtune::{params_from_values, Algorithm, Scene, TunedPipeline};
 
 fn tune(scene: &Scene, threads: usize) -> (Vec<i64>, f64) {
     rayon::ThreadPoolBuilder::new()
@@ -21,24 +21,27 @@ fn tune(scene: &Scene, threads: usize) -> (Vec<i64>, f64) {
                 .resolution(72, 72)
                 .tuner_seed(31 + threads as u64);
             let _ = p.run_until_converged(120);
-            let (config, cost) = {
-                let t = p.workflow().tuner();
-                let (c, cost) = t.best().expect("tuned");
-                (c.values().to_vec(), cost)
-            };
-            (config, cost)
+            let (config, cost) = p.tuner().best().expect("tuned");
+            (config.values().to_vec(), cost)
         })
 }
 
 fn measure(scene: &Scene, values: &[i64]) -> f64 {
     let v = scene.view;
     let cam = Camera::look_at(v.eye, v.target, v.up, v.fov_deg, 72, 72);
-    let params =
-        BuildParams::from_config(values[0] as f32, values[1] as f32, values[2] as u32, 4096);
+    let params = params_from_values(Algorithm::InPlace, values);
+    let options = RenderOptions::default();
     let mut total = 0.0;
     for _ in 0..3 {
-        let (b, r, _) = run_frame_with(scene.frame(0), Algorithm::InPlace, &params, &cam, v.light);
-        total += b + r;
+        let frame = timed_frame(
+            scene.frame(0),
+            Algorithm::InPlace,
+            &params,
+            &cam,
+            v.light,
+            &options,
+        );
+        total += frame.total_secs();
     }
     total / 3.0
 }

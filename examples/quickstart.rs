@@ -60,7 +60,7 @@ fn main() {
             );
         }
     }
-    let tuner = pipeline.workflow().tuner();
+    let tuner = pipeline.tuner();
     if let Some((best, cost)) = tuner.best() {
         println!(
             "\nbest configuration {} at {:.2} ms/frame (converged: {})",
