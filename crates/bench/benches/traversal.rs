@@ -55,16 +55,6 @@ fn bench_traversal(c: &mut Criterion) {
             black_box(hits)
         })
     });
-    let bvh = kdtune_bvh::Bvh::build(mesh.clone(), &kdtune_bvh::BvhParams::default());
-    group.bench_function("bvh", |b| {
-        b.iter(|| {
-            let mut hits = 0u32;
-            for ray in &bundle {
-                hits += bvh.intersect(black_box(ray), 0.0, f32::INFINITY).is_some() as u32;
-            }
-            black_box(hits)
-        })
-    });
     group.bench_function("brute_force", |b| {
         b.iter(|| {
             let mut hits = 0u32;

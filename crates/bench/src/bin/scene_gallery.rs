@@ -7,9 +7,9 @@
 //! ```
 //!
 //! `--packet-width {4,8,16}` renders through the coherent packet path
-//! instead of the scalar path (`--packets` is a deprecated alias for
-//! width 4); the images are bit-identical at every width, so the flag
-//! doubles as an end-to-end equivalence check against committed PPMs.
+//! instead of the scalar path; the images are bit-identical at every
+//! width, so the flag doubles as an end-to-end equivalence check against
+//! the committed PPMs in `results/gallery/` (CI runs it).
 
 use kdtune::raycast::{render_with_options, Camera};
 use kdtune::scenes::all_scenes;

@@ -1,7 +1,6 @@
-//! **Traversal benchmark** — render throughput of the packed-node fast
-//! path (fixed-size traversal stacks) against the heap-allocating
-//! reference path, plus the coherent ray-packet path against the scalar
-//! fast path at every packet width, on a fixed scene, camera and seed.
+//! **Traversal benchmark** — render throughput of the coherent
+//! ray-packet path against the scalar fast path at every packet width,
+//! on a fixed scene, camera and seed.
 //!
 //! Everything that could move the numbers is pinned: the scene is Fairy
 //! Forest at a fixed complexity and seed, the camera and light come from
@@ -10,21 +9,20 @@
 //! thread (override with `--threads N`). All paths shoot identical rays,
 //! so their [`RenderStats`] must match exactly — the binary asserts it.
 //!
-//! All comparisons interleave their frames (one of each per repeat) so
+//! Every comparison interleaves its frames (one of each per repeat) so
 //! slow machine-load drift biases neither side. The packet path is
 //! measured per width (4, 8 and 16 lanes by default; `--packet-width W`
-//! restricts the sweep to one width) and twice per width: a
-//! **primary-ray-only** pair (every pixel traced nearest-hit, no shading
-//! or shadows — the headline `packet_speedup_w{N}`, since coherent
-//! primaries are where packets pay off) and a full-frame pair including
-//! octant-batched shadow rays (`packet_frame_speedup_w{N}`). Reports
-//! rays/sec and ns/ray per path plus the fast-over-alloc speedup, the
-//! packet lane utilization and the fraction of inner steps the interval
-//! frustum resolved, and emits `BENCH_traversal.json` into `--out <dir>`
-//! (default `results/`). Pass `--smoke` for a seconds-long CI-sized run
-//! (still covering all comparisons); `--packet-width W` (or the
-//! deprecated `--packets`) also skips the fast-vs-alloc pair — the cheap
-//! CI packet leg.
+//! restricts the sweep to one width, and 0 or 1 is a usage error) and
+//! twice per width: a **primary-ray-only** pair (every pixel traced
+//! nearest-hit, no shading or shadows — the headline
+//! `packet_speedup_w{N}`, since coherent primaries are where packets pay
+//! off) and a full-frame pair including octant-batched shadow rays
+//! (`packet_frame_speedup_w{N}`). Reports rays/sec and ns/ray per path,
+//! the packet lane utilization and the fraction of inner steps the
+//! interval frustum resolved, and emits `BENCH_traversal.json` into
+//! `--out <dir>` (default `results/`); `rays_per_frame` with
+//! `scalar_median_ms_w{N}` gives the scalar ns/ray. Pass `--smoke` for a
+//! seconds-long CI-sized run (still covering every width).
 //!
 //! [`ViewSpec`]: kdtune::scenes::ViewSpec
 
@@ -34,7 +32,7 @@ use kdtune_bench::cli::ExperimentArgs;
 use kdtune_bench::platforms::run_on;
 use kdtune_bench::stats::median;
 use kdtune_geometry::{Hit, Ray, RayPacket};
-use kdtune_kdtree::{KdTree, PacketCounters, RayQuery};
+use kdtune_kdtree::{PacketCounters, RayQuery};
 use kdtune_raycast::{
     render_with, render_with_options, Camera, RayTable, RenderOptions, RenderStats,
 };
@@ -53,20 +51,6 @@ const FULL_REPEATS: usize = 5;
 const SMOKE_REPEATS: usize = 2;
 /// Packet widths swept when `--packet-width` does not pin one.
 const SWEEP_WIDTHS: [u32; 3] = [4, 8, 16];
-
-/// Adapter that forces the heap-allocating reference traversal — the
-/// pre-packed-layout behaviour (a `Vec` stack per ray), kept as
-/// [`KdTree::intersect_alloc`] / [`KdTree::intersect_any_alloc`].
-struct AllocQuery<'a>(&'a KdTree);
-
-impl RayQuery for AllocQuery<'_> {
-    fn intersect(&self, ray: &Ray, t_min: f32, t_max: f32) -> Option<Hit> {
-        self.0.intersect_alloc(ray, t_min, t_max)
-    }
-    fn intersect_any(&self, ray: &Ray, t_min: f32, t_max: f32) -> bool {
-        self.0.intersect_any_alloc(ray, t_min, t_max)
-    }
-}
 
 /// One measured path: median frame time plus derived throughput.
 struct PathResult {
@@ -104,9 +88,8 @@ impl WidthResult {
     }
 }
 
-/// Times one frame of `query` and checks it reproduced `warm_stats`.
+/// Times one scalar frame of `query` and checks it reproduced `warm_stats`.
 fn timed_frame(
-    label: &str,
     query: &impl RayQuery,
     mesh: &kdtune_geometry::TriangleMesh,
     camera: &Camera,
@@ -116,50 +99,8 @@ fn timed_frame(
     let t0 = Instant::now();
     let (_, s) = render_with(query, mesh, camera, light);
     let secs = t0.elapsed().as_secs_f64();
-    assert_eq!(s, warm_stats, "{label}: render must be deterministic");
+    assert_eq!(s, warm_stats, "scalar: render must be deterministic");
     secs
-}
-
-/// Measures both paths with **interleaved** frames — one fast frame then
-/// one alloc frame per repeat, after a warmup of each — so slow drift in
-/// background machine load biases neither path. Reports the per-path
-/// median.
-fn measure_pair(
-    fast_query: &impl RayQuery,
-    alloc_query: &impl RayQuery,
-    mesh: &kdtune_geometry::TriangleMesh,
-    camera: &Camera,
-    light: kdtune_geometry::Vec3,
-    repeats: usize,
-) -> (PathResult, PathResult) {
-    let (_, fast_warm) = render_with(fast_query, mesh, camera, light);
-    let (_, alloc_warm) = render_with(alloc_query, mesh, camera, light);
-    assert_eq!(
-        fast_warm, alloc_warm,
-        "fast and alloc paths must trace identical rays"
-    );
-    let mut fast_times = Vec::with_capacity(repeats);
-    let mut alloc_times = Vec::with_capacity(repeats);
-    for _ in 0..repeats {
-        fast_times.push(timed_frame(
-            "fast", fast_query, mesh, camera, light, fast_warm,
-        ));
-        alloc_times.push(timed_frame(
-            "alloc",
-            alloc_query,
-            mesh,
-            camera,
-            light,
-            alloc_warm,
-        ));
-    }
-    let rays = fast_warm.primary_rays + fast_warm.shadow_rays;
-    let result = |label: &str, times: &[f64]| PathResult {
-        label: label.to_string(),
-        median_secs: median(times),
-        rays,
-    };
-    (result("fast", &fast_times), result("alloc", &alloc_times))
 }
 
 /// Times one packet frame of `query`, checking stats reproduce
@@ -213,14 +154,7 @@ fn measure_packet_pair<const W: usize>(
             packet_warm,
             &mut counters,
         ));
-        scalar_times.push(timed_frame(
-            "scalar",
-            query,
-            mesh,
-            camera,
-            light,
-            scalar_warm,
-        ));
+        scalar_times.push(timed_frame(query, mesh, camera, light, scalar_warm));
     }
     let rays = scalar_warm.primary_rays + scalar_warm.shadow_rays;
     let result = |label: String, times: &[f64]| PathResult {
@@ -412,13 +346,15 @@ fn main() {
     // Single-threaded unless overridden: the point is the per-ray cost of
     // the traversal inner loop, not pool scaling.
     let threads = args.threads.unwrap_or(1);
-    // `--packet-width W` pins the sweep to one width and skips the
-    // fast-vs-alloc pair (the cheap CI packet leg); 0/1 skips the packet
-    // sweep instead. Default sweeps every width plus fast-vs-alloc.
-    let (widths, packets_only): (Vec<u32>, bool) = match args.packet_width {
-        None => (SWEEP_WIDTHS.to_vec(), false),
-        Some(0) | Some(1) => (Vec::new(), false),
-        Some(w) => (vec![w], true),
+    // `--packet-width W` pins the sweep to one width (the cheap CI packet
+    // leg); the scalar path alone has no packet pair to measure.
+    let widths: Vec<u32> = match args.packet_width {
+        None => SWEEP_WIDTHS.to_vec(),
+        Some(0 | 1) => {
+            eprintln!("--packet-width: the bench compares packets against scalar; use 4, 8 or 16");
+            std::process::exit(2);
+        }
+        Some(w) => vec![w],
     };
 
     let scene = fairy_forest(&params);
@@ -438,11 +374,6 @@ fn main() {
         eager.traversal_depth_bound(),
     );
 
-    let fast_alloc = (!packets_only).then(|| {
-        run_on(threads, || {
-            measure_pair(&tree, &AllocQuery(eager), &mesh, &camera, v.light, repeats)
-        })
-    });
     let width_results: Vec<WidthResult> = widths
         .iter()
         .map(|&w| match w {
@@ -466,10 +397,6 @@ fn main() {
             &wr.frame_scalar,
         ]);
     }
-    if let Some((fast, alloc)) = &fast_alloc {
-        rows.push(fast);
-        rows.push(alloc);
-    }
     for r in rows {
         println!(
             "{:<12} {:>12.3} {:>14.0} {:>10.1}",
@@ -492,12 +419,6 @@ fn main() {
             100.0 * wr.frame_counters.lane_utilization(),
             100.0 * wr.frame_counters.frustum_rate(),
             wr.frame_counters.scalar_fallback_lanes
-        );
-    }
-    if let Some((fast, alloc)) = &fast_alloc {
-        println!(
-            "speedup (alloc/fast): {:.2}x",
-            alloc.median_secs / fast.median_secs
         );
     }
 
@@ -585,54 +506,8 @@ fn main() {
             ),
         ]);
     }
-    // Legacy headline keys (pre-width-sweep consumers): the 4-wide entry.
-    if let Some(wr) = width_results.iter().find(|wr| wr.width == 4) {
-        entries.extend([
-            (key("rays_per_frame"), format!("{}", wr.frame_packet.rays)),
-            (
-                key("packet_speedup"),
-                format!("{:.4}", wr.primary_speedup()),
-            ),
-            (
-                key("packet_frame_speedup"),
-                format!("{:.4}", wr.frame_speedup()),
-            ),
-            (
-                key("packet_lane_utilization"),
-                format!("{:.4}", wr.frame_counters.lane_utilization()),
-            ),
-            (
-                key("packet_fallback_lanes"),
-                format!("{}", wr.frame_counters.scalar_fallback_lanes),
-            ),
-        ]);
-    }
-    if let Some((fast, alloc)) = &fast_alloc {
-        let speedup = alloc.median_secs / fast.median_secs;
-        entries.extend([
-            (
-                key("fast_median_ms"),
-                format!("{:.6}", fast.median_secs * 1e3),
-            ),
-            (
-                key("fast_rays_per_sec"),
-                format!("{:.1}", fast.rays_per_sec()),
-            ),
-            (key("fast_ns_per_ray"), format!("{:.3}", fast.ns_per_ray())),
-            (
-                key("alloc_median_ms"),
-                format!("{:.6}", alloc.median_secs * 1e3),
-            ),
-            (
-                key("alloc_rays_per_sec"),
-                format!("{:.1}", alloc.rays_per_sec()),
-            ),
-            (
-                key("alloc_ns_per_ray"),
-                format!("{:.3}", alloc.ns_per_ray()),
-            ),
-            (key("speedup_alloc_over_fast"), format!("{speedup:.4}")),
-        ]);
+    if let Some(wr) = width_results.first() {
+        entries.push((key("rays_per_frame"), format!("{}", wr.frame_scalar.rays)));
     }
     write_json(&path, &entries).expect("json write");
     eprintln!("wrote {}", path.display());

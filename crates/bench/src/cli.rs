@@ -21,8 +21,7 @@ pub struct ExperimentArgs {
     /// machine's default width (or, for fig7, each platform profile).
     pub threads: Option<usize>,
     /// Ray-packet width (`--packet-width W`, one of 0/1/4/8/16; 0 and 1
-    /// mean scalar). `None` keeps each binary's default. The deprecated
-    /// bare `--packets` flag is an alias for width 4.
+    /// mean scalar). `None` keeps each binary's default.
     pub packet_width: Option<u32>,
     /// Extra flags the specific binary interprets (e.g. `--platforms`).
     pub flags: Vec<String>,
@@ -89,13 +88,11 @@ impl ExperimentArgs {
                     }
                     out.packet_width = Some(n);
                 }
-                // Deprecated alias for the original 4-wide packet path.
-                "--packets" => out.packet_width = out.packet_width.or(Some(4)),
                 "--help" | "-h" => {
                     return Err(
                         "options: --quick (default) | --full | --out DIR | --scene NAME | \
-                         --repeats N | --trace FILE | --threads N | --packet-width 0|1|4|8|16 \
-                         (--packets = alias for 4) | binary-specific flags (e.g. --platforms)"
+                         --repeats N | --trace FILE | --threads N | --packet-width 0|1|4|8|16 | \
+                         binary-specific flags (e.g. --platforms)"
                             .to_string(),
                     )
                 }
@@ -201,7 +198,7 @@ mod tests {
     }
 
     #[test]
-    fn packet_width_flag_and_deprecated_alias() {
+    fn packet_width_flag() {
         assert_eq!(parse(&[]).unwrap().packet_width, None);
         assert_eq!(
             parse(&["--packet-width", "8"]).unwrap().packet_width,
@@ -211,14 +208,6 @@ mod tests {
             parse(&["--packet-width", "0"]).unwrap().packet_width,
             Some(0)
         );
-        assert_eq!(parse(&["--packets"]).unwrap().packet_width, Some(4));
-        // An explicit width wins over the alias, in either order.
-        for argv in [
-            ["--packets", "--packet-width", "8"],
-            ["--packet-width", "8", "--packets"],
-        ] {
-            assert_eq!(parse(&argv).unwrap().packet_width, Some(8));
-        }
         assert!(parse(&["--packet-width"]).is_err());
         assert!(parse(&["--packet-width", "2"]).is_err());
         assert!(parse(&["--packet-width", "wide"]).is_err());

@@ -38,7 +38,7 @@ mod vec3;
 pub use aabb::Aabb;
 pub use axis::Axis;
 pub use mesh::TriangleMesh;
-pub use packet::{PacketFrustum, PacketHit, PacketHit4, RayPacket, RayPacket4, ALL_LANES, LANES};
+pub use packet::{PacketFrustum, PacketHit, RayPacket};
 pub use ray::{Hit, Ray};
 pub use transform::Transform;
 pub use triangle::Triangle;

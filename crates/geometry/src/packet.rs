@@ -22,12 +22,6 @@
 
 use crate::{Aabb, Hit, Ray, Triangle, EPS};
 
-/// Number of rays in the legacy 4-wide packet ([`RayPacket4`]).
-pub const LANES: usize = 4;
-
-/// Lane-mask with every lane of a 4-wide packet active.
-pub const ALL_LANES: u32 = 0b1111;
-
 // Elementwise helpers over `[f32; W]`. Fixed-length, branch-free lane
 // loops like these are what LLVM's unroll + SLP pass reliably lowers to
 // single packed SSE/AVX/NEON instructions; writing the kernels as chains
@@ -118,9 +112,6 @@ pub struct RayPacket<const W: usize> {
     /// The source rays, for scalar fallback.
     rays: [Ray; W],
 }
-
-/// The original 2×2 packet, now an alias of the 4-wide instantiation.
-pub type RayPacket4 = RayPacket<4>;
 
 impl<const W: usize> RayPacket<W> {
     /// Lane-mask with every one of the `W` lanes active.
@@ -228,9 +219,6 @@ pub struct PacketHit<const W: usize> {
     /// Accepting lanes.
     pub mask: u32,
 }
-
-/// The 4-wide hit record, now an alias of the generic instantiation.
-pub type PacketHit4 = PacketHit<4>;
 
 impl<const W: usize> PacketHit<W> {
     /// The lane's result as a scalar [`Hit`] (prim = `usize::MAX`, as in
@@ -487,20 +475,6 @@ impl Triangle {
             mask: mask & lanes & p.active(),
         }
     }
-
-    /// The 4-wide instantiation of
-    /// [`intersect_packet`](Triangle::intersect_packet), kept under its
-    /// original name.
-    #[inline(always)]
-    pub fn intersect4(
-        &self,
-        p: &RayPacket4,
-        t_min: f32,
-        t_max: &[f32; LANES],
-        lanes: u32,
-    ) -> PacketHit4 {
-        self.intersect_packet(p, t_min, t_max, lanes)
-    }
 }
 
 #[cfg(test)]
@@ -511,10 +485,6 @@ mod tests {
 
     fn arb_vec(range: std::ops::Range<f32>) -> impl Strategy<Value = Vec3> {
         (range.clone(), range.clone(), range).prop_map(|(x, y, z)| Vec3::new(x, y, z))
-    }
-
-    fn packet_of(rays: [Ray; LANES], t_max: f32) -> RayPacket4 {
-        RayPacket::new(rays, [t_max; LANES])
     }
 
     /// Lane-for-lane bit identity of the `W`-wide slab test against the
@@ -592,8 +562,8 @@ mod tests {
             Ray::new(Vec3::new(7.0, 8.0, 9.0), Vec3::new(1.0, 0.0, 0.0)),
             Ray::new(Vec3::new(-1.0, -2.0, -3.0), Vec3::new(0.5, 0.5, 0.5)),
         ];
-        let p = packet_of(rays, f32::INFINITY);
-        assert_eq!(p.active(), ALL_LANES);
+        let p = RayPacket::new(rays, [f32::INFINITY; 4]);
+        assert_eq!(p.active(), RayPacket::<4>::ALL);
         for (l, ray) in rays.iter().enumerate() {
             assert_eq!(p.origin_axis(0)[l], ray.origin.x);
             assert_eq!(p.origin_axis(2)[l], ray.origin.z);
@@ -608,14 +578,13 @@ mod tests {
         assert_eq!(RayPacket::<4>::ALL, 0b1111);
         assert_eq!(RayPacket::<8>::ALL, 0xFF);
         assert_eq!(RayPacket::<16>::ALL, 0xFFFF);
-        assert_eq!(ALL_LANES, RayPacket::<4>::ALL);
     }
 
     #[test]
     fn mask_is_clamped_to_width() {
         let r = Ray::new(Vec3::ZERO, Vec3::Z);
         let p = RayPacket::<4>::with_mask([r; 4], [1.0; 4], 0xFF);
-        assert_eq!(p.active(), ALL_LANES);
+        assert_eq!(p.active(), RayPacket::<4>::ALL);
         let p = RayPacket::<4>::with_mask([r; 4], [1.0; 4], 0b0101);
         assert_eq!(p.active(), 0b0101);
         let p = RayPacket::<8>::with_mask([r; 8], [1.0; 8], 0xFFFF_FFFF);
@@ -659,7 +628,7 @@ mod tests {
         let tri = Triangle::new(Vec3::ZERO, Vec3::X, Vec3::Y);
         let shifted = Ray::new(Vec3::new(0.25, 0.25, -1.0), Vec3::Z);
         let p = RayPacket::<4>::with_mask([shifted; 4], [f32::INFINITY; 4], 0b1000);
-        let h = tri.intersect4(&p, 0.0, &[f32::INFINITY; 4], ALL_LANES);
+        let h = tri.intersect_packet(&p, 0.0, &[f32::INFINITY; 4], RayPacket::<4>::ALL);
         assert_eq!(h.mask, 0b1000);
         let p = RayPacket::<16>::with_mask([shifted; 16], [f32::INFINITY; 16], 0x8001);
         let h = tri.intersect_packet(&p, 0.0, &[f32::INFINITY; 16], RayPacket::<16>::ALL);

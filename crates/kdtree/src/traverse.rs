@@ -423,18 +423,6 @@ impl KdTree {
         }
     }
 
-    /// [`KdTree::intersect`] forced onto the heap-allocated stack — the
-    /// pre-optimization reference path, kept for equivalence tests and as
-    /// the old-vs-new baseline in the traversal bench.
-    pub fn intersect_alloc(&self, ray: &Ray, t_min: f32, t_max: f32) -> Option<Hit> {
-        intersect_impl(self, ray, t_min, t_max, &mut VecStack::new())
-    }
-
-    /// [`KdTree::intersect_any`] forced onto the heap-allocated stack.
-    pub fn intersect_any_alloc(&self, ray: &Ray, t_min: f32, t_max: f32) -> bool {
-        intersect_any_impl(self, ray, t_min, t_max, &mut VecStack::new())
-    }
-
     /// [`KdTree::intersect`] with work counters — used by the analysis
     /// tooling to correlate predicted SAH cost with actual traversal work.
     pub fn intersect_counted(
@@ -545,7 +533,6 @@ pub fn brute_force_intersect(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::build::{Algorithm, BuildParams};
     use kdtune_geometry::{Triangle, Vec3};
     use std::sync::Arc;
 
@@ -588,39 +575,6 @@ mod tests {
             assert_eq!(
                 tree.intersect_any(&ray, 0.0, f32::INFINITY),
                 expect.is_some()
-            );
-        }
-    }
-
-    /// The forced-alloc reference path must agree with the fast path.
-    #[test]
-    fn alloc_path_matches_fast_path() {
-        let mut mesh = TriangleMesh::new();
-        for i in 0..64 {
-            let x = (i % 8) as f32;
-            let y = (i / 8) as f32;
-            mesh.push_triangle(Triangle::new(
-                Vec3::new(x, y, (i % 3) as f32),
-                Vec3::new(x + 0.9, y, (i % 3) as f32),
-                Vec3::new(x, y + 0.9, (i % 3) as f32),
-            ));
-        }
-        let built = crate::build::build(Arc::new(mesh), Algorithm::Nested, &BuildParams::default());
-        let tree = built.as_eager().unwrap();
-        assert!(tree.traversal_depth_bound() as usize <= FIXED_TRAVERSAL_STACK);
-        for i in 0..128 {
-            let ox = (i % 16) as f32 * 0.5;
-            let oy = (i / 16) as f32;
-            let ray = Ray::new(Vec3::new(ox, oy, -4.0), Vec3::new(0.05, 0.02, 1.0));
-            let fast = tree.intersect(&ray, 0.0, f32::INFINITY);
-            let alloc = tree.intersect_alloc(&ray, 0.0, f32::INFINITY);
-            assert_eq!(
-                fast.map(|h| (h.prim, h.t.to_bits())),
-                alloc.map(|h| (h.prim, h.t.to_bits()))
-            );
-            assert_eq!(
-                tree.intersect_any(&ray, 0.0, 100.0),
-                tree.intersect_any_alloc(&ray, 0.0, 100.0)
             );
         }
     }

@@ -98,9 +98,13 @@ fn intersect_and_intersect_any_do_not_allocate() {
     assert!(occluded > 0);
     assert_eq!(after - before, 0, "fast-path queries allocated on the heap");
 
-    // Sanity: the counter itself works — the Vec fallback path allocates.
+    // Sanity: the counter itself works — it observes a heap allocation.
     let before = ALLOCATIONS.load(Ordering::SeqCst);
-    let _ = tree.intersect_alloc(&rays[0], 0.0, f32::INFINITY);
+    let probe: Vec<Ray> = std::hint::black_box(Vec::with_capacity(rays.len()));
     let after = ALLOCATIONS.load(Ordering::SeqCst);
-    assert!(after > before, "counting allocator must observe Vec stacks");
+    assert!(probe.capacity() >= rays.len());
+    assert!(
+        after > before,
+        "counting allocator must observe a Vec allocation"
+    );
 }

@@ -54,12 +54,6 @@ impl RenderOptions {
         RenderOptions::default()
     }
 
-    /// 4-wide packet rendering with the default divergence threshold —
-    /// the pre-width-axis packet configuration.
-    pub fn packets() -> RenderOptions {
-        RenderOptions::default().with_packet_width(4)
-    }
-
     /// This configuration at the given packet width (`0`/`1` = scalar).
     pub fn with_packet_width(self, width: u32) -> RenderOptions {
         RenderOptions {
@@ -114,7 +108,7 @@ pub fn render(tree: &BuiltTree, camera: &Camera, light: Vec3) -> (Framebuffer, R
 
 /// Structure-agnostic variant of [`render`]: shoots the same rays through
 /// any [`RayQuery`] implementation (a [`kdtune_kdtree::KdTree`], a lazy
-/// tree, a BVH, …) over the given mesh.
+/// tree, brute force, …) over the given mesh.
 ///
 /// The framebuffer is allocated once and tiles render directly into
 /// disjoint slices of it — no per-row buffers, no reassembly copy.
@@ -546,7 +540,6 @@ mod tests {
         assert!(RenderOptions::valid_packet_width(16));
         assert!(!RenderOptions::valid_packet_width(2));
         assert!(!RenderOptions::valid_packet_width(32));
-        assert!(!RenderOptions::packets().frustum || RenderOptions::packets().packet_width == 4);
         assert!(!RenderOptions::scalar().uses_packets());
         assert!(RenderOptions::scalar().with_packet_width(8).uses_packets());
     }

@@ -1,11 +1,10 @@
-//! Equivalence of the packed-node fast path with every reference path:
-//! all four construction algorithms, the lazy tree, the forced
-//! heap-stack traversal and brute force over the raw mesh must shoot the
-//! same rays to the same conclusions — bit-identical [`RenderStats`] and
-//! images, and identical per-ray hits.
+//! Equivalence of the packed-node fast path with brute force over the
+//! raw mesh: all four construction algorithms, the lazy tree included,
+//! must shoot the same rays to the same conclusions — bit-identical
+//! [`RenderStats`] and images, and identical per-ray hits.
 
 use kdtune_geometry::{Hit, Ray, TriangleMesh, Vec3};
-use kdtune_kdtree::{brute_force_intersect, build, Algorithm, BuildParams, KdTree, RayQuery};
+use kdtune_kdtree::{brute_force_intersect, build, Algorithm, BuildParams, RayQuery};
 use kdtune_raycast::{render, render_with, Camera, RenderStats};
 use kdtune_scenes::{wood_doll, SceneParams};
 use proptest::prelude::*;
@@ -20,18 +19,6 @@ impl RayQuery for BruteForce {
     }
     fn intersect_any(&self, ray: &Ray, t_min: f32, t_max: f32) -> bool {
         brute_force_intersect(&self.0, ray, t_min, t_max).is_some()
-    }
-}
-
-/// The forced heap-stack traversal (the pre-packed reference path).
-struct AllocPath<'a>(&'a KdTree);
-
-impl RayQuery for AllocPath<'_> {
-    fn intersect(&self, ray: &Ray, t_min: f32, t_max: f32) -> Option<Hit> {
-        self.0.intersect_alloc(ray, t_min, t_max)
-    }
-    fn intersect_any(&self, ray: &Ray, t_min: f32, t_max: f32) -> bool {
-        self.0.intersect_any_alloc(ray, t_min, t_max)
     }
 }
 
@@ -62,17 +49,6 @@ fn every_algorithm_matches_brute_force_render() {
     }
 }
 
-#[test]
-fn alloc_path_render_is_bit_identical() {
-    let (ref_ppm, ref_stats) = brute_reference();
-    let (mesh, cam, light) = scene_parts();
-    let built = build(mesh.clone(), Algorithm::InPlace, &BuildParams::default());
-    let tree = built.as_eager().unwrap();
-    let (fb, stats) = render_with(&AllocPath(tree), &mesh, &cam, light);
-    assert_eq!(stats, ref_stats);
-    assert_eq!(fb.to_ppm(), ref_ppm);
-}
-
 /// Tree shared across proptest cases (building per case would dominate).
 fn shared_tree() -> &'static (Arc<TriangleMesh>, kdtune_kdtree::BuiltTree) {
     static TREE: OnceLock<(Arc<TriangleMesh>, kdtune_kdtree::BuiltTree)> = OnceLock::new();
@@ -84,8 +60,7 @@ fn shared_tree() -> &'static (Arc<TriangleMesh>, kdtune_kdtree::BuiltTree) {
 }
 
 proptest! {
-    /// Random rays: fast path == forced-alloc path == brute force, down
-    /// to the t-value bits.
+    /// Random rays: fast path == brute force, down to the t-value bits.
     #[test]
     fn random_rays_agree(
         ox in -2.0f32..2.0, oy in -2.0f32..2.0, oz in -2.0f32..2.0,
@@ -97,16 +72,12 @@ proptest! {
         let ray = Ray::new(Vec3::new(ox, oy, oz), Vec3::new(dx, dy, dz));
 
         let fast = tree.intersect(&ray, 0.0, f32::INFINITY);
-        let alloc = tree.intersect_alloc(&ray, 0.0, f32::INFINITY);
         let brute = brute_force_intersect(mesh, &ray, 0.0, f32::INFINITY);
         let key = |h: Option<Hit>| h.map(|h| (h.prim, h.t.to_bits()));
-        prop_assert_eq!(key(fast), key(alloc));
         prop_assert_eq!(key(fast), key(brute));
 
         let any_fast = tree.intersect_any(&ray, 0.0, 10.0);
-        let any_alloc = tree.intersect_any_alloc(&ray, 0.0, 10.0);
         let any_brute = brute_force_intersect(mesh, &ray, 0.0, 10.0).is_some();
-        prop_assert_eq!(any_fast, any_alloc);
         prop_assert_eq!(any_fast, any_brute);
     }
 }

@@ -50,7 +50,6 @@ COMMON OPTIONS:
   --algo  node_level|nested|in_place|lazy (default in_place)
   --packet-width W           trace coherent W-wide ray packets, W in
                              {0,1,4,8,16}; 0/1 = scalar (render, tune)
-  --packets                  deprecated alias for --packet-width 4
   --trace FILE               record a JSONL telemetry trace (tune)
 
 SCENES: bunny sponza sibenik toasters wood_doll fairy_forest";
@@ -60,8 +59,18 @@ struct Args {
     options: HashMap<String, String>,
 }
 
-/// Options that are bare flags (no value follows them).
-const BOOL_FLAGS: &[&str] = &["packets"];
+/// Every `--key` the classic subcommands read; each takes a value.
+const OPTIONS: &[&str] = &[
+    "scale",
+    "algo",
+    "packet-width",
+    "res",
+    "frame",
+    "frames",
+    "seed",
+    "out",
+    "trace",
+];
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut positional = Vec::new();
@@ -69,12 +78,11 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut it = argv.iter();
     while let Some(a) = it.next() {
         if let Some(key) = a.strip_prefix("--") {
-            if BOOL_FLAGS.contains(&key) {
-                options.insert(key.to_string(), "true".to_string());
-            } else {
-                let value = it.next().ok_or_else(|| format!("--{key} needs a value"))?;
-                options.insert(key.to_string(), value.clone());
+            if !OPTIONS.contains(&key) {
+                return Err(format!("unknown option --{key}"));
             }
+            let value = it.next().ok_or_else(|| format!("--{key} needs a value"))?;
+            options.insert(key.to_string(), value.clone());
         } else {
             positional.push(a.clone());
         }
@@ -117,14 +125,12 @@ impl Args {
         }
     }
 
-    /// Render options from `--packet-width` (scalar by default; the
-    /// deprecated `--packets` flag is an alias for width 4).
+    /// Render options from `--packet-width` (scalar by default).
     fn render_options(&self) -> Result<RenderOptions, String> {
         let width = match self.options.get("packet-width") {
             Some(v) => v
                 .parse::<u32>()
                 .map_err(|e| format!("bad --packet-width {v:?}: {e}"))?,
-            None if self.options.contains_key("packets") => 4,
             None => 1,
         };
         if !RenderOptions::valid_packet_width(width) {

@@ -1,6 +1,7 @@
 //! Per-connection state for the readiness-driven event loop: bounded
-//! line reassembly, a capped backpressure-aware write queue, and the
-//! waker that lets worker threads nudge the loop.
+//! line reassembly, a capped backpressure-aware write queue, the waker
+//! that lets worker threads nudge the loop, and the client front that
+//! `renderd` and the router both run over them.
 //!
 //! The split of responsibilities is strict: only the event-loop thread
 //! touches the socket (reads *and* writes), while worker threads touch
@@ -12,12 +13,17 @@
 //! fixing the old reader-thread design where `ConnWriter::send_line`
 //! swallowed broken pipes and workers kept rendering for dead clients.
 
-use std::collections::VecDeque;
+use crate::protocol::{self, ErrorCode};
+use kdtune_telemetry::MetricsRegistry;
+use polling::{PollFd, POLLIN, POLLOUT};
+use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
+use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Upper bound on bytes queued for one connection before the server
 /// gives up on the client and kills the connection. A client that stops
@@ -289,6 +295,274 @@ impl Conn {
     /// Bytes waiting to be flushed.
     pub fn pending_write(&self) -> bool {
         self.handle.pending_bytes() > 0
+    }
+}
+
+/// The counter, labelled `event`, that [`ClientFront`] counts its
+/// lifecycle events in.
+struct Lifecycle {
+    metrics: Arc<MetricsRegistry>,
+    series: &'static str,
+}
+
+impl Lifecycle {
+    fn count(&self, event: &'static str) {
+        self.metrics.add(self.series, &[("event", event)], 1);
+    }
+}
+
+/// The client half of an event loop, shared by `renderd` and the router:
+/// the listener, every accepted [`Conn`] by token, and the policy both
+/// apply to them. Connects over the limit get one `busy` line and are
+/// closed; complete lines go to the caller in arrival order; an
+/// over-long line is answered `bad_request` after the lines before it,
+/// and its connection closes once that is flushed; connections that are
+/// dead, overflowed, finished, idle while draining or past the drain
+/// deadline are closed. Each step counts once in the lifecycle series.
+///
+/// The caller keeps its waker, poll timeouts, drain condition and any
+/// other sockets. Each iteration it calls [`poll_set`](Self::poll_set),
+/// `poll(2)`, [`read`](Self::read) and
+/// [`flush_and_close`](Self::flush_and_close).
+pub(crate) struct ClientFront {
+    listener: TcpListener,
+    waker: Arc<Waker>,
+    conns: HashMap<u64, Conn>,
+    next_token: u64,
+    max_conns: usize,
+    drain: Duration,
+    /// Set by the first poll while draining.
+    drain_deadline: Option<Instant>,
+    lifecycle: Lifecycle,
+    /// Connections owed the `bad_request` answer to an over-long line.
+    overlong: Vec<u64>,
+    /// This iteration's poll slots: the listener's, and the connections'
+    /// (in `tokens` order) from `conn_base` on.
+    accept_slot: Option<usize>,
+    conn_base: usize,
+    tokens: Vec<u64>,
+}
+
+impl ClientFront {
+    /// Takes over `listener` (made nonblocking) and registers the
+    /// lifecycle series, so a scrape shows them before any traffic.
+    pub fn new(
+        listener: TcpListener,
+        waker: Arc<Waker>,
+        max_conns: usize,
+        drain_ms: u64,
+        metrics: Arc<MetricsRegistry>,
+        series: &'static str,
+    ) -> std::io::Result<ClientFront> {
+        listener.set_nonblocking(true)?;
+        for event in [
+            "accepted",
+            "closed",
+            "read_eof",
+            "write_error",
+            "line_overflow",
+            "write_overflow",
+            "conn_limit",
+            "drain_closed",
+        ] {
+            metrics.counter(series, &[("event", event)]);
+        }
+        Ok(ClientFront {
+            listener,
+            waker,
+            conns: HashMap::new(),
+            next_token: 0,
+            max_conns,
+            drain: Duration::from_millis(drain_ms),
+            drain_deadline: None,
+            lifecycle: Lifecycle { metrics, series },
+            overlong: Vec::new(),
+            accept_slot: None,
+            conn_base: 0,
+            tokens: Vec::new(),
+        })
+    }
+
+    /// Open client connections.
+    pub fn len(&self) -> usize {
+        self.conns.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.conns.is_empty()
+    }
+
+    /// Appends the listener (unless draining) and every connection that
+    /// wants reads or writes to `fds`. Connections waiting only on
+    /// in-flight jobs are left out — `job_finished` wakes the loop — so a
+    /// hung-up peer cannot spin the loop on an unmaskable `POLLHUP`.
+    pub fn poll_set(&mut self, fds: &mut Vec<PollFd>, draining: bool) {
+        if draining && self.drain_deadline.is_none() {
+            self.drain_deadline = Some(Instant::now() + self.drain);
+        }
+        self.accept_slot = (!draining).then(|| {
+            fds.push(PollFd::new(self.listener.as_raw_fd(), POLLIN));
+            fds.len() - 1
+        });
+        self.conn_base = fds.len();
+        self.tokens.clear();
+        for (&token, conn) in &self.conns {
+            let mut events = 0i16;
+            if !draining && !conn.read_closed && !conn.close_after_flush {
+                events |= POLLIN;
+            }
+            if conn.pending_write() {
+                events |= POLLOUT;
+            }
+            if events != 0 {
+                fds.push(PollFd::new(conn.stream.as_raw_fd(), events));
+                self.tokens.push(token);
+            }
+        }
+    }
+
+    /// Accepts new connections, then reads every ready one: returns the
+    /// complete lines in arrival order, each with its connection's
+    /// handle. `POLLOUT` re-arms a blocked writer and failed sockets are
+    /// marked dead. An over-long line is answered by the next flush, so
+    /// the caller handles the lines before it first.
+    pub fn read(&mut self, fds: &[PollFd]) -> Vec<(Arc<ConnHandle>, Vec<u8>)> {
+        if self.accept_slot.is_some_and(|slot| fds[slot].readable()) {
+            self.accept();
+        }
+        let mut lines = Vec::new();
+        for (i, token) in self.tokens.iter().enumerate() {
+            let Some(conn) = self.conns.get_mut(token) else {
+                continue;
+            };
+            let pfd = &fds[self.conn_base + i];
+            if pfd.failed() {
+                conn.handle.mark_dead();
+                continue;
+            }
+            if pfd.writable() {
+                conn.write_blocked = false;
+            }
+            if !pfd.readable() || conn.read_closed {
+                continue;
+            }
+            let outcome = conn.read_ready();
+            let handle = &conn.handle;
+            lines.extend(outcome.lines.into_iter().map(|l| (Arc::clone(handle), l)));
+            if outcome.overflow {
+                self.lifecycle.count("line_overflow");
+                self.overlong.push(*token);
+            }
+            if outcome.eof {
+                self.lifecycle.count("read_eof");
+            }
+            if outcome.error {
+                handle.mark_dead();
+            }
+        }
+        lines
+    }
+
+    /// Accepts until `WouldBlock`; over the limit, a connection gets one
+    /// `busy` line and is closed at once.
+    fn accept(&mut self) {
+        loop {
+            match self.listener.accept() {
+                Ok((stream, _)) if self.conns.len() >= self.max_conns => {
+                    self.lifecycle.count("conn_limit");
+                    let line = protocol::err_line(
+                        0,
+                        ErrorCode::Busy,
+                        &format!("connection limit ({}) reached", self.max_conns),
+                    );
+                    // Best effort: the socket is fresh, so the line fits
+                    // the send buffer; a failure only means a close with
+                    // no explanation.
+                    let _ = (&stream).write_all(format!("{line}\n").as_bytes());
+                }
+                Ok((stream, _)) => {
+                    let waker = Arc::clone(&self.waker);
+                    if let Ok(conn) = Conn::new(stream, waker, protocol::MAX_LINE_BYTES) {
+                        self.lifecycle.count("accepted");
+                        self.conns.insert(self.next_token, conn);
+                        self.next_token += 1;
+                    }
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => break,
+            }
+        }
+    }
+
+    /// Answers over-long lines and writes every queue the socket takes
+    /// (unless it reported `WouldBlock` and has not polled writable
+    /// since). Then closes dead sockets, overflowed write queues, flushed
+    /// terminal errors and finished peers; while `draining`, also every
+    /// idle connection (a half-sent request or an idle socket must not
+    /// hold up the drain) and, past the drain deadline, all the rest.
+    /// Returns how many connections failed a write or overflowed their
+    /// write queue.
+    pub fn flush_and_close(&mut self, draining: bool) -> u64 {
+        let mut write_errors = 0;
+        for token in self.overlong.drain(..) {
+            let Some(conn) = self.conns.get_mut(&token) else {
+                continue;
+            };
+            conn.handle.send_line(&protocol::err_line(
+                0,
+                ErrorCode::BadRequest,
+                &format!(
+                    "request line too long (max {} bytes)",
+                    protocol::MAX_LINE_BYTES
+                ),
+            ));
+            conn.close_after_flush = true;
+        }
+        for conn in self.conns.values_mut() {
+            let flushable = !conn.handle.is_dead() && conn.pending_write() && !conn.write_blocked;
+            if flushable && conn.flush() == Flush::Error {
+                self.lifecycle.count("write_error");
+                write_errors += 1;
+            }
+        }
+        let deadline_passed = self.drain_deadline.is_some_and(|d| Instant::now() >= d);
+        let lifecycle = &self.lifecycle;
+        self.conns.retain(|_, conn| {
+            let idle = !conn.pending_write() && conn.handle.jobs_in_flight() == 0;
+            let close = if conn.handle.is_dead() {
+                true
+            } else if conn.handle.overflowed() {
+                lifecycle.count("write_overflow");
+                write_errors += 1;
+                true
+            } else if (conn.close_after_flush && !conn.pending_write())
+                || (conn.read_closed && idle)
+                || (draining && idle)
+            {
+                true
+            } else if draining && deadline_passed {
+                lifecycle.count("drain_closed");
+                true
+            } else {
+                false
+            };
+            if close {
+                conn.handle.mark_dead();
+                lifecycle.count("closed");
+            }
+            !close
+        });
+        write_errors
+    }
+}
+
+impl Drop for ClientFront {
+    /// Closes what a failed `poll` left open, so workers skip its jobs.
+    fn drop(&mut self) {
+        for (_, conn) in self.conns.drain() {
+            conn.handle.mark_dead();
+            self.lifecycle.count("closed");
+        }
     }
 }
 

@@ -93,9 +93,7 @@ pub struct SessionSpec {
     /// Square render resolution in pixels.
     pub res: u32,
     /// Ray-packet width frames render with: `1` is scalar, `4`/`8`/`16`
-    /// trace coherent pixel tiles. Wire field `packet_width` (integer);
-    /// the legacy boolean `packets` is still accepted as an alias for
-    /// width 4.
+    /// trace coherent pixel tiles. Wire field `packet_width` (integer).
     pub packet_width: u32,
     /// Which workload the session serves (render frames or point-query
     /// batches). Sessions with different workloads never share state.
@@ -325,20 +323,8 @@ fn parse_spec(value: &JsonValue) -> Result<SessionSpec, String> {
     let algo =
         Algorithm::from_name(algo_name).ok_or_else(|| format!("unknown algo {algo_name:?}"))?;
     let res = non_negative(value, "res", 128)?.clamp(8, 1024) as u32;
-    // Legacy boolean `packets` selects the original 4-wide path; the
-    // explicit `packet_width` field wins when both are present.
-    let legacy = value
-        .get("packets")
-        .and_then(JsonValue::as_bool)
-        .unwrap_or(false);
     let packet_width = match value.get("packet_width") {
-        None => {
-            if legacy {
-                4
-            } else {
-                1
-            }
-        }
+        None => 1,
         Some(v) => {
             let w = v
                 .as_i64()
@@ -449,14 +435,13 @@ mod tests {
     #[test]
     fn parses_tune_step_and_clamps() {
         let req = parse_request(
-            r#"{"id":1,"cmd":"tune_step","scene":"sponza","scale":"tiny","algo":"lazy","res":4096,"steps":10000,"packets":true}"#,
+            r#"{"id":1,"cmd":"tune_step","scene":"sponza","scale":"tiny","algo":"lazy","res":4096,"steps":10000}"#,
         )
         .unwrap();
         match req.cmd {
             Command::TuneStep { spec, steps } => {
                 assert_eq!(spec.algo, Algorithm::Lazy);
                 assert_eq!(spec.res, 1024, "res clamps to 1024");
-                assert_eq!(spec.packet_width, 4, "legacy packets flag means w=4");
                 assert_eq!(steps, 256, "steps clamp to 256");
             }
             other => panic!("wrong command: {other:?}"),
@@ -470,11 +455,6 @@ mod tests {
             (r#"{"cmd":"render","scene":"bunny","packet_width":1}"#, 1),
             (r#"{"cmd":"render","scene":"bunny","packet_width":8}"#, 8),
             (r#"{"cmd":"render","scene":"bunny","packet_width":16}"#, 16),
-            // Explicit width wins over the legacy boolean.
-            (
-                r#"{"cmd":"render","scene":"bunny","packets":true,"packet_width":8}"#,
-                8,
-            ),
         ] {
             match parse_request(json).unwrap().cmd {
                 Command::Render { spec, .. } => assert_eq!(spec.packet_width, want, "{json}"),

@@ -38,17 +38,16 @@
 //! ([`kdtune_telemetry::MergedMetrics`]), with a per-shard breakdown
 //! under `shards` (stats) or `shard="i"`-labeled series (metrics).
 
-use crate::conn::{drain_waker, Conn, ConnHandle, Flush, Waker};
+use crate::conn::{drain_waker, ClientFront, Conn, ConnHandle, Flush, Waker};
 use crate::protocol::{self, Command, ErrorCode, Request, SessionSpec};
 use crate::shard::{HashRing, ShardProcess};
 use kdtune_telemetry::{self as telemetry, json::JsonValue, MergedMetrics, MetricsRegistry};
 use polling::{PollFd, POLLIN, POLLOUT};
 use std::collections::{BTreeMap, HashMap};
-use std::io::{ErrorKind, Write};
+use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -194,9 +193,7 @@ struct Fanout {
     results: Vec<(usize, Option<JsonValue>)>,
 }
 
-/// Plain counters — the loop is single-threaded, but `connections` is
-/// shared with `stats` via the state so keep it atomic for symmetry
-/// with the server.
+/// Plain counters — the loop is single-threaded.
 #[derive(Default)]
 struct Counters {
     received: u64,
@@ -210,12 +207,11 @@ struct Counters {
 /// A bound, not-yet-running router. [`run`](Router::run) blocks until a
 /// `shutdown` request drains the clients.
 pub struct Router {
-    listener: TcpListener,
+    clients: ClientFront,
     waker: Arc<Waker>,
     waker_rx: UnixStream,
     addr: SocketAddr,
     spawn_mode: bool,
-    max_conns: usize,
     drain_ms: u64,
     pending_per_shard: usize,
     reconnect_min_ms: u64,
@@ -226,7 +222,6 @@ pub struct Router {
     announce_rx: Receiver<(usize, SocketAddr, u32)>,
     metrics: Arc<MetricsRegistry>,
     started: Instant,
-    connections: AtomicUsize,
 }
 
 impl Router {
@@ -313,13 +308,20 @@ impl Router {
         };
         let ring = HashRing::new(shards.len());
         preregister_router_series(&metrics, shards.len());
-        Ok(Router {
+        let clients = ClientFront::new(
             listener,
+            Arc::clone(&waker),
+            config.max_conns.max(1),
+            config.drain_ms,
+            Arc::clone(&metrics),
+            "router_conn_lifecycle_total",
+        )?;
+        Ok(Router {
+            clients,
             waker,
             waker_rx,
             addr,
             spawn_mode,
-            max_conns: config.max_conns.max(1),
             drain_ms: config.drain_ms,
             pending_per_shard: config.pending_per_shard.max(1),
             reconnect_min_ms: config.reconnect_min_ms.max(1),
@@ -330,7 +332,6 @@ impl Router {
             announce_rx,
             metrics,
             started: Instant::now(),
-            connections: AtomicUsize::new(0),
         })
     }
 
@@ -342,16 +343,12 @@ impl Router {
     /// Routes until a `shutdown` request drains the clients (and, in
     /// spawn mode, the children have been shut down).
     pub fn run(mut self) -> std::io::Result<()> {
-        self.listener.set_nonblocking(true)?;
         let mut loop_state = LoopState {
-            clients: HashMap::new(),
-            next_token: 0,
             next_rid: 1,
             fanouts: HashMap::new(),
             next_fanout: 1,
             counters: Counters::default(),
             draining: false,
-            drain_deadline: None,
         };
         event_loop(&mut self, &mut loop_state);
 
@@ -375,17 +372,14 @@ impl Router {
 }
 
 /// Mutable per-run state kept outside `Router` so helpers can borrow the
-/// router's shards and the loop's clients independently.
+/// router and the loop's bookkeeping independently.
 struct LoopState {
-    clients: HashMap<u64, Conn>,
-    next_token: u64,
     /// Rewritten upstream request ids, unique across all shards.
     next_rid: u64,
     fanouts: HashMap<u64, Fanout>,
     next_fanout: u64,
     counters: Counters,
     draining: bool,
-    drain_deadline: Option<Instant>,
 }
 
 fn preregister_router_series(metrics: &MetricsRegistry, shards: usize) {
@@ -398,9 +392,6 @@ fn preregister_router_series(metrics: &MetricsRegistry, shards: usize) {
         metrics.counter("router_shard_disconnects_total", &[("shard", &label)]);
         metrics.counter("router_shard_reconnects_total", &[("shard", &label)]);
     }
-    for event in ["accepted", "closed", "conn_limit", "drain_closed"] {
-        metrics.counter("router_conn_lifecycle_total", &[("event", event)]);
-    }
     for gauge in ["router_connections", "router_shards_up", "router_pending"] {
         metrics.gauge(gauge, &[]);
     }
@@ -408,11 +399,7 @@ fn preregister_router_series(metrics: &MetricsRegistry, shards: usize) {
 
 fn refresh_router_gauges(router: &Router) {
     let m = &router.metrics;
-    m.gauge_set(
-        "router_connections",
-        &[],
-        router.connections.load(Ordering::Relaxed) as i64,
-    );
+    m.gauge_set("router_connections", &[], router.clients.len() as i64);
     m.gauge_set(
         "router_shards_up",
         &[],
@@ -427,7 +414,6 @@ fn refresh_router_gauges(router: &Router) {
 
 fn event_loop(router: &mut Router, ls: &mut LoopState) {
     let mut fds: Vec<PollFd> = Vec::new();
-    let mut client_tokens: Vec<u64> = Vec::new();
     let mut shard_slots: Vec<usize> = Vec::new();
 
     loop {
@@ -446,37 +432,12 @@ fn event_loop(router: &mut Router, ls: &mut LoopState) {
 
         supervise_shards(router, ls);
 
-        if ls.draining && ls.drain_deadline.is_none() {
-            ls.drain_deadline = Some(Instant::now() + Duration::from_millis(router.drain_ms));
-        }
-
-        // Interest set: waker, listener (while serving), clients wanting
-        // reads/writes, and every live shard connection (always POLLIN —
-        // a response can arrive whenever).
+        // Interest set: waker, the client front, and every live shard
+        // connection (always POLLIN — a response can arrive whenever).
         fds.clear();
-        client_tokens.clear();
         shard_slots.clear();
         fds.push(PollFd::new(router.waker_rx.as_raw_fd(), POLLIN));
-        let accept_slot = if ls.draining {
-            None
-        } else {
-            fds.push(PollFd::new(router.listener.as_raw_fd(), POLLIN));
-            Some(fds.len() - 1)
-        };
-        let client_base = fds.len();
-        for (token, conn) in ls.clients.iter() {
-            let mut events = 0i16;
-            if !ls.draining && !conn.read_closed && !conn.close_after_flush {
-                events |= POLLIN;
-            }
-            if conn.pending_write() {
-                events |= POLLOUT;
-            }
-            if events != 0 {
-                fds.push(PollFd::new(conn.stream.as_raw_fd(), events));
-                client_tokens.push(*token);
-            }
-        }
+        router.clients.poll_set(&mut fds, ls.draining);
         let shard_base = fds.len();
         for slot in router.shards.iter() {
             if let Some(conn) = &slot.conn {
@@ -501,52 +462,8 @@ fn event_loop(router: &mut Router, ls: &mut LoopState) {
         if fds[0].readable() {
             drain_waker(&router.waker_rx);
         }
-        if let Some(slot) = accept_slot {
-            if fds[slot].readable() {
-                accept_ready(router, ls);
-            }
-        }
-
-        // Client readiness.
-        for (i, token) in client_tokens.iter().enumerate() {
-            let pfd = &fds[client_base + i];
-            let (failed, writable, readable) = (pfd.failed(), pfd.writable(), pfd.readable());
-            let Some(conn) = ls.clients.get_mut(token) else {
-                continue;
-            };
-            if failed {
-                conn.handle.mark_dead();
-                continue;
-            }
-            if writable {
-                conn.write_blocked = false;
-            }
-            if readable && !conn.read_closed {
-                let outcome = conn.read_ready();
-                let handle = Arc::clone(&conn.handle);
-                let overflow = outcome.overflow;
-                let error = outcome.error;
-                for line in &outcome.lines {
-                    handle_client_line(router, ls, &handle, line);
-                }
-                let Some(conn) = ls.clients.get_mut(token) else {
-                    continue;
-                };
-                if overflow {
-                    conn.handle.send_line(&protocol::err_line(
-                        0,
-                        ErrorCode::BadRequest,
-                        &format!(
-                            "request line too long (max {} bytes)",
-                            protocol::MAX_LINE_BYTES
-                        ),
-                    ));
-                    conn.close_after_flush = true;
-                }
-                if error {
-                    conn.handle.mark_dead();
-                }
-            }
+        for (client, line) in router.clients.read(&fds) {
+            handle_client_line(router, ls, &client, &line);
         }
 
         // Shard readiness.
@@ -576,17 +493,7 @@ fn event_loop(router: &mut Router, ls: &mut LoopState) {
             }
         }
 
-        // Flush pass: clients then shards.
-        for conn in ls.clients.values_mut() {
-            let flushable = !conn.handle.is_dead() && conn.pending_write() && !conn.write_blocked;
-            if flushable && conn.flush() == Flush::Error {
-                router.metrics.add(
-                    "router_conn_lifecycle_total",
-                    &[("event", "write_error")],
-                    1,
-                );
-            }
-        }
+        // Flush pass: shards, then clients (which also closes those done).
         let mut failed_shards: Vec<usize> = Vec::new();
         for slot in router.shards.iter_mut() {
             if let Some(conn) = slot.conn.as_mut() {
@@ -601,54 +508,10 @@ fn event_loop(router: &mut Router, ls: &mut LoopState) {
             shard_failed(router, ls, index, "write error");
         }
 
-        // Close pass for clients (mirrors the server's rules).
-        let deadline_passed = ls.drain_deadline.is_some_and(|d| Instant::now() >= d);
-        let mut to_close: Vec<u64> = Vec::new();
-        for (token, conn) in ls.clients.iter() {
-            let idle = !conn.pending_write() && conn.handle.jobs_in_flight() == 0;
-            let close = if conn.handle.is_dead() {
-                true
-            } else if conn.handle.overflowed() {
-                conn.handle.mark_dead();
-                true
-            } else if (conn.close_after_flush && !conn.pending_write())
-                || (conn.read_closed && idle)
-                || (ls.draining && idle)
-            {
-                true
-            } else if ls.draining && deadline_passed {
-                router.metrics.add(
-                    "router_conn_lifecycle_total",
-                    &[("event", "drain_closed")],
-                    1,
-                );
-                conn.handle.mark_dead();
-                true
-            } else {
-                false
-            };
-            if close {
-                to_close.push(*token);
-            }
-        }
-        for token in to_close {
-            if let Some(conn) = ls.clients.remove(&token) {
-                conn.handle.mark_dead();
-                router
-                    .metrics
-                    .add("router_conn_lifecycle_total", &[("event", "closed")], 1);
-                router.connections.fetch_sub(1, Ordering::Relaxed);
-            }
-        }
-
-        if ls.draining && ls.clients.is_empty() && ls.fanouts.is_empty() {
+        router.clients.flush_and_close(ls.draining);
+        if ls.draining && router.clients.is_empty() && ls.fanouts.is_empty() {
             break;
         }
-    }
-
-    for (_, conn) in ls.clients.drain() {
-        conn.handle.mark_dead();
-        router.connections.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -739,49 +602,6 @@ fn supervise_shards(router: &mut Router, ls: &mut LoopState) {
                 *backoff_ms = (*backoff_ms * 2).clamp(min_backoff, max_backoff);
                 *retry_at = now + Duration::from_millis(*backoff_ms);
             }
-        }
-    }
-}
-
-/// Accepts clients until `WouldBlock`, shedding over-limit connects
-/// with one `busy` line, exactly like the server.
-fn accept_ready(router: &mut Router, ls: &mut LoopState) {
-    loop {
-        match router.listener.accept() {
-            Ok((stream, _)) => {
-                if ls.clients.len() >= router.max_conns {
-                    router.metrics.add(
-                        "router_conn_lifecycle_total",
-                        &[("event", "conn_limit")],
-                        1,
-                    );
-                    let line = protocol::err_line(
-                        0,
-                        ErrorCode::Busy,
-                        &format!("connection limit ({}) reached", router.max_conns),
-                    );
-                    let _ = (&stream).write_all(line.as_bytes());
-                    let _ = (&stream).write_all(b"\n");
-                    continue;
-                }
-                match Conn::new(stream, Arc::clone(&router.waker), protocol::MAX_LINE_BYTES) {
-                    Ok(conn) => {
-                        router.metrics.add(
-                            "router_conn_lifecycle_total",
-                            &[("event", "accepted")],
-                            1,
-                        );
-                        router.connections.fetch_add(1, Ordering::Relaxed);
-                        let token = ls.next_token;
-                        ls.next_token += 1;
-                        ls.clients.insert(token, conn);
-                    }
-                    Err(_) => continue,
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => break,
         }
     }
 }
@@ -1323,10 +1143,7 @@ fn merged_stats(
             JsonValue::from(router.started.elapsed().as_secs_f64()),
         ),
         ("addr", router.addr.to_string().into()),
-        (
-            "connections",
-            router.connections.load(Ordering::Relaxed).into(),
-        ),
+        ("connections", router.clients.len().into()),
         ("shards_total", router.shards.len().into()),
         (
             "shards_up",

@@ -22,7 +22,7 @@
 //! stall the exit forever.
 
 use crate::cache::TreeCache;
-use crate::conn::{drain_waker, Conn, ConnHandle, Flush, Waker};
+use crate::conn::{drain_waker, ClientFront, ConnHandle, Waker};
 use crate::protocol::{self, Command, ErrorCode, Request, SessionSpec};
 use crate::session::SessionManager;
 use crate::store::ConfigStore;
@@ -30,16 +30,15 @@ use kdtune::raycast::render_with_options;
 use kdtune::{build, Algorithm, BuildParams, BuiltTree, Camera, RenderOptions};
 use kdtune_telemetry::trace::TraceContext;
 use kdtune_telemetry::{self as telemetry, json::JsonValue, MetricsRecorder, MetricsRegistry};
-use polling::{PollFd, POLLIN, POLLOUT};
-use std::collections::{HashMap, VecDeque};
-use std::io::{ErrorKind, Write};
+use polling::{PollFd, POLLIN};
+use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// How `renderd` is configured at bind time.
 #[derive(Clone, Debug)]
@@ -198,10 +197,9 @@ struct ServerState {
     metrics: Arc<MetricsRegistry>,
     slow_us: u64,
     slow_traces: parking_lot::Mutex<VecDeque<JsonValue>>,
-    /// Live connection count, maintained by the event loop.
+    /// Open connections as of the event loop's last read pass.
     connections: AtomicUsize,
     max_conns: usize,
-    drain_ms: u64,
     /// Wakes the event loop out of `poll` (worker responses, shutdown).
     waker: Arc<Waker>,
 }
@@ -209,7 +207,7 @@ struct ServerState {
 /// A bound, not-yet-running server. [`run`](RenderServer::run) blocks
 /// until a `shutdown` request drains the queue.
 pub struct RenderServer {
-    listener: TcpListener,
+    clients: ClientFront,
     waker_rx: UnixStream,
     state: Arc<ServerState>,
 }
@@ -223,6 +221,14 @@ impl RenderServer {
         let metrics = Arc::new(MetricsRegistry::new());
         preregister_series(&metrics);
         let (waker, waker_rx) = Waker::pair()?;
+        let clients = ClientFront::new(
+            listener,
+            Arc::clone(&waker),
+            config.max_conns.max(1),
+            config.drain_ms,
+            Arc::clone(&metrics),
+            "renderd_conn_lifecycle_total",
+        )?;
         let state = Arc::new(ServerState {
             addr,
             workers: config.workers.max(1),
@@ -237,11 +243,10 @@ impl RenderServer {
             slow_traces: parking_lot::Mutex::new(VecDeque::new()),
             connections: AtomicUsize::new(0),
             max_conns: config.max_conns.max(1),
-            drain_ms: config.drain_ms,
             waker,
         });
         Ok(RenderServer {
-            listener,
+            clients,
             waker_rx,
             state,
         })
@@ -297,7 +302,7 @@ impl RenderServer {
             })
             .collect();
 
-        event_loop(&state, &self.listener, &self.waker_rx);
+        event_loop(&state, self.clients, &self.waker_rx);
 
         // The event loop exits only after the queue is closed; workers
         // finish whatever was accepted before the close and stop.
@@ -324,233 +329,43 @@ impl RenderServer {
     }
 }
 
-/// One step of `renderd_conn_lifecycle_total{event=...}`.
-fn conn_event(state: &ServerState, event: &'static str) {
-    state
-        .metrics
-        .add("renderd_conn_lifecycle_total", &[("event", event)], 1);
-}
-
 /// The readiness-driven core: accepts, reads, dispatches, flushes, and
 /// closes every connection from one thread. Returns once shutdown has
 /// drained (or the drain deadline force-closed the stragglers).
-fn event_loop(state: &Arc<ServerState>, listener: &TcpListener, waker_rx: &UnixStream) {
-    if listener.set_nonblocking(true).is_err() {
-        return;
-    }
-    let mut conns: HashMap<u64, Conn> = HashMap::new();
-    let mut next_token: u64 = 0;
-    let mut drain_deadline: Option<Instant> = None;
+fn event_loop(state: &Arc<ServerState>, mut clients: ClientFront, waker_rx: &UnixStream) {
     let mut fds: Vec<PollFd> = Vec::new();
-    let mut tokens: Vec<u64> = Vec::new();
-
     loop {
         let draining = state.shutting_down.load(Ordering::SeqCst);
-        if draining && drain_deadline.is_none() {
-            drain_deadline = Some(Instant::now() + Duration::from_millis(state.drain_ms));
-        }
-
-        // Interest set: the waker, the listener (while serving), and
-        // every connection that wants reads (line reassembly) or writes
-        // (non-empty queue). Connections waiting only on in-flight jobs
-        // are deliberately absent — `job_finished` wakes the loop — so a
-        // hung-up peer cannot spin the loop on an unmaskable `POLLHUP`.
         fds.clear();
-        tokens.clear();
         fds.push(PollFd::new(waker_rx.as_raw_fd(), POLLIN));
-        let accept_slot = if draining {
-            None
-        } else {
-            fds.push(PollFd::new(listener.as_raw_fd(), POLLIN));
-            Some(fds.len() - 1)
-        };
-        let conn_base = fds.len();
-        for (token, conn) in conns.iter() {
-            let mut events = 0i16;
-            if !draining && !conn.read_closed && !conn.close_after_flush {
-                events |= POLLIN;
-            }
-            if conn.pending_write() {
-                events |= POLLOUT;
-            }
-            if events != 0 {
-                fds.push(PollFd::new(conn.stream.as_raw_fd(), events));
-                tokens.push(*token);
-            }
-        }
-
+        clients.poll_set(&mut fds, draining);
         let timeout = if draining {
             POLL_DRAIN_MS
         } else {
             POLL_IDLE_MS
         };
         if polling::wait(&mut fds, timeout).is_err() {
-            // poll itself failing is unrecoverable for the loop; close
-            // everything and let shutdown semantics take over.
+            // poll itself failing is unrecoverable for the loop; dropping
+            // `clients` closes every connection and shutdown takes over.
             break;
         }
-
         if fds[0].readable() {
             drain_waker(waker_rx);
         }
-        if let Some(slot) = accept_slot {
-            if fds[slot].readable() {
-                accept_ready(state, listener, &mut conns, &mut next_token);
-            }
+        let lines = clients.read(&fds);
+        state.connections.store(clients.len(), Ordering::Relaxed);
+        for (conn, line) in &lines {
+            handle_line(state, conn, line);
         }
-
-        // Readiness per connection: reads reassemble and dispatch lines,
-        // `POLLOUT` re-arms a previously blocked writer, and failed
-        // descriptors are marked dead for the close pass below.
-        for (i, token) in tokens.iter().enumerate() {
-            let Some(conn) = conns.get_mut(token) else {
-                continue;
-            };
-            let pfd = &fds[conn_base + i];
-            if pfd.failed() {
-                conn.handle.mark_dead();
-                continue;
-            }
-            if pfd.writable() {
-                conn.write_blocked = false;
-            }
-            if pfd.readable() && !conn.read_closed {
-                process_readable(state, conn);
-            }
+        let write_errors = clients.flush_and_close(draining);
+        if write_errors > 0 {
+            state
+                .metrics
+                .add("renderd_write_errors_total", &[], write_errors);
         }
-
-        // Flush pass: anything queued (by workers since the last poll, or
-        // by inline handling just above) goes out now unless the socket
-        // reported `WouldBlock` and has not signaled writable again.
-        for conn in conns.values_mut() {
-            let flushable = !conn.handle.is_dead() && conn.pending_write() && !conn.write_blocked;
-            if flushable && conn.flush() == Flush::Error {
-                state.metrics.add("renderd_write_errors_total", &[], 1);
-                conn_event(state, "write_error");
-            }
-        }
-
-        // Close pass: dead sockets, overflowed write queues, flushed
-        // terminal errors, finished peers, and drained/expired shutdown.
-        let deadline_passed = drain_deadline.is_some_and(|d| Instant::now() >= d);
-        let mut to_close: Vec<u64> = Vec::new();
-        for (token, conn) in conns.iter() {
-            let idle = !conn.pending_write() && conn.handle.jobs_in_flight() == 0;
-            let close = if conn.handle.is_dead() {
-                true
-            } else if conn.handle.overflowed() {
-                state.metrics.add("renderd_write_errors_total", &[], 1);
-                conn_event(state, "write_overflow");
-                conn.handle.mark_dead();
-                true
-            } else if (conn.close_after_flush && !conn.pending_write())
-                || (conn.read_closed && idle)
-                || (draining && idle)
-            {
-                // Terminal error flushed, peer finished, or — during a
-                // drain — anything idle: drain completion must not wait
-                // on a client holding a half-sent request or an idle
-                // socket open.
-                true
-            } else if draining && deadline_passed {
-                conn_event(state, "drain_closed");
-                conn.handle.mark_dead();
-                true
-            } else {
-                false
-            };
-            if close {
-                to_close.push(*token);
-            }
-        }
-        for token in to_close {
-            if let Some(conn) = conns.remove(&token) {
-                conn.handle.mark_dead();
-                conn_event(state, "closed");
-                state.connections.fetch_sub(1, Ordering::Relaxed);
-            }
-        }
-
-        if draining && conns.is_empty() {
+        if draining && clients.is_empty() {
             break;
         }
-    }
-
-    // Anything still open (poll failure path) is torn down on drop.
-    for (_, conn) in conns.drain() {
-        conn.handle.mark_dead();
-        conn_event(state, "closed");
-        state.connections.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-/// Accepts until `WouldBlock`; over-limit connections get one `busy`
-/// error line and are closed immediately.
-fn accept_ready(
-    state: &Arc<ServerState>,
-    listener: &TcpListener,
-    conns: &mut HashMap<u64, Conn>,
-    next_token: &mut u64,
-) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if conns.len() >= state.max_conns {
-                    conn_event(state, "conn_limit");
-                    let line = protocol::err_line(
-                        0,
-                        ErrorCode::Busy,
-                        &format!("connection limit ({}) reached", state.max_conns),
-                    );
-                    // Best effort: the socket is fresh, so the line fits
-                    // the send buffer; any failure just means a close
-                    // with no explanation.
-                    let _ = (&stream).write_all(line.as_bytes());
-                    let _ = (&stream).write_all(b"\n");
-                    continue;
-                }
-                match Conn::new(stream, Arc::clone(&state.waker), protocol::MAX_LINE_BYTES) {
-                    Ok(conn) => {
-                        conn_event(state, "accepted");
-                        state.connections.fetch_add(1, Ordering::Relaxed);
-                        let token = *next_token;
-                        *next_token += 1;
-                        conns.insert(token, conn);
-                    }
-                    Err(_) => continue,
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => break,
-        }
-    }
-}
-
-/// Drains a readable connection: dispatches every complete line, rejects
-/// oversized ones, and notes EOF / hard errors for the close pass.
-fn process_readable(state: &Arc<ServerState>, conn: &mut Conn) {
-    let outcome = conn.read_ready();
-    for line in &outcome.lines {
-        handle_line(state, &conn.handle, line);
-    }
-    if outcome.overflow {
-        conn_event(state, "line_overflow");
-        conn.handle.send_line(&protocol::err_line(
-            0,
-            ErrorCode::BadRequest,
-            &format!(
-                "request line too long (max {} bytes)",
-                protocol::MAX_LINE_BYTES
-            ),
-        ));
-        conn.close_after_flush = true;
-    }
-    if outcome.eof {
-        conn_event(state, "read_eof");
-    }
-    if outcome.error {
-        conn.handle.mark_dead();
     }
 }
 
@@ -565,18 +380,6 @@ fn preregister_series(metrics: &MetricsRegistry) {
     metrics.counter("renderd_slow_requests_total", &[("cmd", "render")]);
     metrics.counter("renderd_write_errors_total", &[]);
     metrics.counter("renderd_jobs_skipped_total", &[]);
-    for event in [
-        "accepted",
-        "closed",
-        "read_eof",
-        "write_error",
-        "line_overflow",
-        "write_overflow",
-        "conn_limit",
-        "drain_closed",
-    ] {
-        metrics.counter("renderd_conn_lifecycle_total", &[("event", event)]);
-    }
     for op in ["hit", "miss", "evict"] {
         metrics.counter("renderd_cache_ops_total", &[("op", op)]);
     }
@@ -1341,7 +1144,7 @@ mod tests {
             let queue = Arc::clone(&queue);
             std::thread::spawn(move || queue.pop().map(|j| j.request.id))
         };
-        std::thread::sleep(Duration::from_millis(30));
+        std::thread::sleep(std::time::Duration::from_millis(30));
         assert!(matches!(queue.push(dummy_job(9)), Push::Queued));
         assert_eq!(popper.join().unwrap(), Some(9));
     }

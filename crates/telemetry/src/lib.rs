@@ -10,9 +10,9 @@
 //!   [`Value`] fields.
 //!
 //! All three route through a process-global [`Recorder`] installed with
-//! [`set_recorder`]. The default recorder is [`sinks::NullRecorder`]: a
-//! single relaxed atomic-bool load short-circuits every instrumentation
-//! call, so instrumented code pays (almost) nothing when telemetry is off.
+//! [`set_recorder`]. No recorder is installed by default: a single
+//! relaxed atomic-bool load short-circuits every instrumentation call,
+//! so instrumented code pays (almost) nothing when telemetry is off.
 //!
 //! Sinks live in [`sinks`]: an in-memory ring buffer for tests, a JSONL
 //! file writer (hand-rolled serialization — no external serializer), and a

@@ -1,5 +1,5 @@
-//! Recorder implementations: null, in-memory ring buffer, JSONL file
-//! writer, and pretty stderr printer.
+//! Recorder implementations: in-memory ring buffer, JSONL file writer,
+//! and pretty stderr printer.
 
 use crate::json::record_to_jsonl;
 use crate::{Record, RecordKind, Recorder};
@@ -7,24 +7,6 @@ use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::io::{BufWriter, Write};
 use std::path::Path;
-
-// ---------------------------------------------------------------------------
-// NullRecorder
-// ---------------------------------------------------------------------------
-
-/// Discards everything; reports `enabled() == false` so instrumentation
-/// sites skip record construction entirely. This is the implicit default
-/// when no recorder is installed.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullRecorder;
-
-impl Recorder for NullRecorder {
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    fn record(&self, _record: Record) {}
-}
 
 // ---------------------------------------------------------------------------
 // RingBufferRecorder
@@ -179,32 +161,6 @@ impl Recorder for StderrRecorder {
     }
 }
 
-/// Fans records out to several recorders (e.g. JSONL file + stderr).
-pub struct TeeRecorder {
-    sinks: Vec<std::sync::Arc<dyn Recorder>>,
-}
-
-impl TeeRecorder {
-    /// Creates a tee over the given sinks.
-    pub fn new(sinks: Vec<std::sync::Arc<dyn Recorder>>) -> Self {
-        TeeRecorder { sinks }
-    }
-}
-
-impl Recorder for TeeRecorder {
-    fn record(&self, record: Record) {
-        for s in &self.sinks {
-            s.record(record.clone());
-        }
-    }
-
-    fn flush(&self) {
-        for s in &self.sinks {
-            s.flush();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,12 +205,6 @@ mod tests {
         let snap = ring.snapshot();
         assert_eq!(snap.len(), 1);
         assert_eq!(snap[0].name, "b");
-    }
-
-    #[test]
-    fn null_recorder_reports_disabled() {
-        assert!(!NullRecorder.enabled());
-        NullRecorder.record(rec("x", 0)); // must not panic
     }
 
     #[test]
@@ -317,16 +267,5 @@ mod tests {
         assert!(line.contains("algo=lazy"));
         assert!(line.contains("n=9"));
         assert!(line.contains("2.500 ms"));
-    }
-
-    #[test]
-    fn tee_fans_out() {
-        use std::sync::Arc;
-        let a = Arc::new(RingBufferRecorder::new(4));
-        let b = Arc::new(RingBufferRecorder::new(4));
-        let tee = TeeRecorder::new(vec![a.clone(), b.clone()]);
-        tee.record(rec("e", 1));
-        assert_eq!(a.len(), 1);
-        assert_eq!(b.len(), 1);
     }
 }
