@@ -6,7 +6,7 @@
 //! uses an OpenMP critical section; we use a `parking_lot::RwLock` so
 //! already-expanded nodes are read-shared across rendering threads).
 
-use crate::build::{build_recursive, BuildCtx, BuildParams, TempNode};
+use crate::build::{build_recursive, BuildCtx, BuildParams, NodePrims, TempNode};
 use crate::traverse::{ArrayStack, TraversalStack, VecStack, FIXED_TRAVERSAL_STACK};
 use crate::tree::{BuildNode, KdTree, NodeKind};
 use kdtune_geometry::{Aabb, Axis, Hit, Ray, TriangleMesh};
@@ -185,7 +185,8 @@ impl LazyKdTree {
             split: self.params.split,
             level_tasks: 1,
         };
-        let local_root = build_recursive(&ctx, (0..d.prims.len() as u32).collect(), d.bounds, 0);
+        let root = NodePrims::root(&ctx, true);
+        let local_root = build_recursive(&ctx, root, d.bounds, 0, &mut ctx.marks());
         let root = remap_leaves(local_root, &d.prims);
         let tree = Arc::new(KdTree::from_build(Arc::clone(&self.mesh), d.bounds, root));
         *guard = Some(Arc::clone(&tree));

@@ -51,15 +51,12 @@ mod tree;
 mod validate;
 
 pub use binned::best_split_binned;
-pub use build::{build, build_median, build_sorted_events, Algorithm, BuildParams, SplitMethod};
+pub use build::{build, build_median, Algorithm, BuildParams, SplitMethod};
 pub use lazy_tree::LazyKdTree;
 pub use point_query::{brute_force_knn, brute_force_radius, Neighbor};
 pub use query::{BuiltTree, RayQuery};
 pub use sah::SahParams;
-pub use split::{
-    best_split_naive, best_split_sweep, best_split_sweep_idx, best_split_sweep_idx_par, classify,
-    SplitPlane,
-};
+pub use split::{best_split_naive, best_split_sweep, best_split_sweep_idx, classify, SplitPlane};
 pub use stats::{to_dot, TreeHistograms, TreeStats};
 #[cfg(feature = "traversal-counters")]
 pub use traverse::global_counters;

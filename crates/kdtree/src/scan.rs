@@ -3,17 +3,14 @@
 //! Choi et al. describe the nested and in-place algorithms as "essentially
 //! a sequence of parallel prefix operations": count per chunk, scan the
 //! counts into offsets, then write each chunk's output at its offset. The
-//! helpers here implement exactly that pattern for the primitive
-//! classification pass.
+//! helpers here implement exactly that pattern for the builders' stable
+//! partition of a node's primitive ids and per-axis event lists.
 //!
 //! All fan-out is built on `rayon::join` (the one primitive guaranteed to
 //! fork real tasks) via [`par_map`], rather than on parallel-iterator
 //! combinators — so the count and scatter passes genuinely overlap, and
 //! results stay element-for-element deterministic because the halves are
 //! recombined in order.
-
-use crate::split::sides;
-use kdtune_geometry::{Aabb, Axis};
 
 /// Join-based ordered parallel map: splits `items` in halves down to
 /// roughly `tasks` leaf tasks, maps each leaf sequentially, and
@@ -41,18 +38,6 @@ where
     left
 }
 
-/// Exclusive prefix sum: returns `(offsets, total)` where
-/// `offsets[i] = sum(values[..i])`.
-pub fn exclusive_scan(values: &[usize]) -> (Vec<usize>, usize) {
-    let mut offsets = Vec::with_capacity(values.len());
-    let mut acc = 0usize;
-    for &v in values {
-        offsets.push(acc);
-        acc += v;
-    }
-    (offsets, acc)
-}
-
 /// Exclusive prefix sum over `(left, right)` count pairs in one pass:
 /// returns `(offsets, (left_total, right_total))` with
 /// `offsets[i] = (sum of lefts, sum of rights) over pairs[..i]`. Saves the
@@ -71,43 +56,92 @@ pub fn exclusive_scan_pairs(pairs: &[(usize, usize)]) -> (Vec<(usize, usize)>, (
 /// Chunk size of the fork-join phases.
 pub(crate) const SCAN_CHUNK: usize = 2048;
 
-/// Primitives per task below which the classification passes stay on the
-/// calling thread. Classification is a cheap O(n) pass, so forking only
-/// amortizes the OS-thread fork/join cost once each task owns a very
-/// large slice; the count→scan→scatter structure (and its output) is the
-/// same either way.
+/// Items per task below which the partition passes stay on the calling
+/// thread. Partitioning is a cheap O(n) pass, so forking only amortizes
+/// the OS-thread fork/join cost once each task owns a very large slice;
+/// the count→scan→scatter structure (and its output) is the same either
+/// way.
 const SCAN_PAR_GRAIN: usize = 1 << 17;
 
-/// Parallel classification of `indices` against the plane `axis = pos`
-/// via count → scan → scatter:
+/// One side of a partition: the items, and where each segment of them
+/// ends.
+pub type Segments<T, const N: usize> = (Vec<T>, [usize; N]);
+
+/// Stable partition of `items` by `side`, which sends each item left,
+/// right or both ways. `items` is `N` consecutive segments (segment `k`
+/// ends at `ends[k]`, the last at `items.len()`), and each segment's items
+/// stay together and in order on both sides. The left side is compacted
+/// into `items` and `ends`; the right side is returned, allocated with
+/// capacity `right_cap`. `side` is called once per item, in order.
+pub fn partition_in_place<T: Copy, const N: usize>(
+    items: &mut Vec<T>,
+    ends: &mut [usize; N],
+    right_cap: usize,
+    mut side: impl FnMut(T) -> (bool, bool),
+) -> Segments<T, N> {
+    let mut right = Vec::with_capacity(right_cap);
+    let mut right_ends = [0; N];
+    let (mut kept, mut start) = (0, 0);
+    for (end, right_end) in ends.iter_mut().zip(&mut right_ends) {
+        for i in start..*end {
+            let x = items[i];
+            let (l, r) = side(x);
+            // Branch-free: `kept <= i`, so the store is always in bounds.
+            items[kept] = x;
+            kept += usize::from(l);
+            if r {
+                right.push(x);
+            }
+        }
+        start = *end;
+        *end = kept;
+        *right_end = right.len();
+    }
+    items.truncate(kept);
+    (right, right_ends)
+}
+
+/// Parallel [`partition_in_place`] via count → scan → scatter, into new
+/// buffers:
 ///
-/// 1. each chunk counts its left/right members in parallel,
+/// 1. each chunk (never straddling a segment) counts its left/right
+///    members in parallel,
 /// 2. an exclusive scan over the per-chunk counts yields write offsets,
+///    and the segment ends of both sides,
 /// 3. each chunk writes its members at its offsets in parallel.
 ///
 /// The output is element-for-element identical to the sequential
-/// [`crate::classify`] (chunk order is preserved).
-pub fn par_classify_scan(
-    bounds: &[Aabb],
-    indices: &[u32],
-    axis: Axis,
-    pos: f32,
-) -> (Vec<u32>, Vec<u32>) {
-    if indices.is_empty() {
-        return (Vec::new(), Vec::new());
-    }
+/// partition (chunk order is preserved).
+pub fn par_partition<T, F, const N: usize>(
+    items: &[T],
+    ends: [usize; N],
+    side: F,
+) -> (Segments<T, N>, Segments<T, N>)
+where
+    T: Copy + Default + Send + Sync,
+    F: Fn(T) -> (bool, bool) + Sync,
+{
     let tasks = rayon::current_num_threads()
         .max(1)
-        .min(indices.len() / SCAN_PAR_GRAIN + 1);
-    let chunks: Vec<&[u32]> = indices.chunks(SCAN_CHUNK).collect();
-    // Pass 1: per-chunk counts, caching each primitive's side flags so
-    // the scatter pass doesn't re-evaluate `sides`.
+        .min(items.len() / SCAN_PAR_GRAIN + 1);
+    // Chunk each segment on its own; `seg_chunks[k]` counts the chunks of
+    // segments 0..=k.
+    let mut chunks: Vec<&[T]> = Vec::with_capacity(items.len() / SCAN_CHUNK + N);
+    let mut seg_chunks = [0; N];
+    let mut start = 0;
+    for (end, seg_chunk) in ends.into_iter().zip(&mut seg_chunks) {
+        chunks.extend(items[start..end].chunks(SCAN_CHUNK));
+        *seg_chunk = chunks.len();
+        start = end;
+    }
+    // Pass 1: per-chunk counts, caching each item's side flags so the
+    // scatter pass doesn't re-evaluate `side`.
     let counted: Vec<((usize, usize), Vec<u8>)> = par_map(chunks.clone(), tasks, &|chunk| {
         let mut flags = Vec::with_capacity(chunk.len());
         let mut l = 0;
         let mut r = 0;
-        for &i in chunk {
-            let (sl, sr) = sides(&bounds[i as usize], axis, pos);
+        for &x in chunk {
+            let (sl, sr) = side(x);
             flags.push(sl as u8 | ((sr as u8) << 1));
             l += sl as usize;
             r += sr as usize;
@@ -115,19 +149,21 @@ pub fn par_classify_scan(
         ((l, r), flags)
     });
     let (counts, chunk_flags): (Vec<(usize, usize)>, Vec<Vec<u8>>) = counted.into_iter().unzip();
-    // Pass 2: one scan over the (l, r) pairs, no intermediate copies.
+    // Pass 2: one scan over the (l, r) pairs, no intermediate copies. A
+    // segment's outputs end where the next segment's first chunk starts.
     let (offsets, (l_total, r_total)) = exclusive_scan_pairs(&counts);
+    let seg_ends = seg_chunks.map(|c| offsets.get(c).copied().unwrap_or((l_total, r_total)));
     // Pass 3: parallel scatter into preallocated outputs. Each chunk owns
     // a disjoint slice of the output, handed out by zipping the output
     // buffers' own chunk decomposition with the input chunks.
-    let mut left = vec![0u32; l_total];
-    let mut right = vec![0u32; r_total];
+    let mut left = vec![T::default(); l_total];
+    let mut right = vec![T::default(); r_total];
     {
         // Split the output buffers into per-chunk windows.
-        let mut l_windows: Vec<&mut [u32]> = Vec::with_capacity(counts.len());
-        let mut r_windows: Vec<&mut [u32]> = Vec::with_capacity(counts.len());
-        let mut l_rest: &mut [u32] = &mut left;
-        let mut r_rest: &mut [u32] = &mut right;
+        let mut l_windows: Vec<&mut [T]> = Vec::with_capacity(counts.len());
+        let mut r_windows: Vec<&mut [T]> = Vec::with_capacity(counts.len());
+        let mut l_rest: &mut [T] = &mut left;
+        let mut r_rest: &mut [T] = &mut right;
         for (k, (lc, rc)) in counts.iter().enumerate() {
             debug_assert_eq!(
                 offsets[k].0 + lc,
@@ -146,8 +182,8 @@ pub fn par_classify_scan(
         }
         // One scatter task: (input chunk, its cached side flags, and the
         // disjoint left/right output windows it owns).
-        type ScatterTask<'a> = (&'a [u32], Vec<u8>, &'a mut [u32], &'a mut [u32]);
-        let work: Vec<ScatterTask<'_>> = chunks
+        type ScatterTask<'a, T> = (&'a [T], Vec<u8>, &'a mut [T], &'a mut [T]);
+        let work: Vec<ScatterTask<'_, T>> = chunks
             .into_iter()
             .zip(chunk_flags)
             .zip(l_windows)
@@ -157,13 +193,13 @@ pub fn par_classify_scan(
         par_map(work, tasks, &|(chunk, flags, lw, rw)| {
             let mut li = 0;
             let mut ri = 0;
-            for (&i, &f) in chunk.iter().zip(&flags) {
+            for (&x, &f) in chunk.iter().zip(&flags) {
                 if f & 1 != 0 {
-                    lw[li] = i;
+                    lw[li] = x;
                     li += 1;
                 }
                 if f & 2 != 0 {
-                    rw[ri] = i;
+                    rw[ri] = x;
                     ri += 1;
                 }
             }
@@ -171,13 +207,40 @@ pub fn par_classify_scan(
             debug_assert_eq!(ri, rw.len());
         });
     }
-    (left, right)
+    (
+        (left, seg_ends.map(|e| e.0)),
+        (right, seg_ends.map(|e| e.1)),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::split::classify;
+    use crate::split::{classify, sides};
+    use kdtune_geometry::{Aabb, Axis};
+
+    /// Exclusive prefix sum: `(offsets, total)` with
+    /// `offsets[i] = sum(values[..i])`.
+    fn exclusive_scan(values: &[usize]) -> (Vec<usize>, usize) {
+        let mut offsets = Vec::with_capacity(values.len());
+        let mut acc = 0usize;
+        for &v in values {
+            offsets.push(acc);
+            acc += v;
+        }
+        (offsets, acc)
+    }
+
+    fn par_classify_scan(
+        bounds: &[Aabb],
+        idx: &[u32],
+        axis: Axis,
+        pos: f32,
+    ) -> (Vec<u32>, Vec<u32>) {
+        let ((left, _), (right, _)) =
+            par_partition(idx, [idx.len()], |i| sides(&bounds[i as usize], axis, pos));
+        (left, right)
+    }
     use kdtune_geometry::Vec3;
     use proptest::prelude::*;
 

@@ -4,8 +4,7 @@
 
 use kdtune_geometry::{Axis, Triangle, TriangleMesh, Vec3};
 use kdtune_kdtree::{
-    build, build_median, build_sorted_events, validate, Algorithm, BuildParams, PackedNode,
-    SahParams, TreeStats,
+    build, build_median, validate, Algorithm, BuildParams, PackedNode, SahParams, TreeStats,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -91,8 +90,6 @@ proptest! {
                 algo
             );
         }
-        let sorted = build_sorted_events(mesh, &params);
-        prop_assert_eq!(leaf_size_multiset(sorted.nodes()), reference);
     }
 
     /// Meshes with NaN/∞ vertices (broken exports, divide-by-zero
@@ -132,7 +129,6 @@ proptest! {
                 lazy.expand_all();
             }
         }
-        let _ = build_sorted_events(Arc::clone(&mesh), &params);
         let _ = build_median(Arc::clone(&mesh), 8, &params);
     }
 
