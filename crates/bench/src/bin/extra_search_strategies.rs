@@ -15,6 +15,7 @@ use kdtune_bench::cli::ExperimentArgs;
 use kdtune_bench::csv::CsvTable;
 use kdtune_bench::harness::{measure_config, ExperimentOpts};
 use kdtune_bench::stats::five_num;
+use kdtune_telemetry::outln;
 use rand::Rng as _;
 
 const ALGO: Algorithm = Algorithm::InPlace;
@@ -38,7 +39,7 @@ fn drive(
 }
 
 fn main() {
-    let args = ExperimentArgs::from_env();
+    let args = ExperimentArgs::from_env(&[]);
     let opts = ExperimentOpts::from_args(&args);
     let budget = if args.quick { 60 } else { 150 };
     let scene = sibenik(&opts.scene_params);
@@ -53,13 +54,15 @@ fn main() {
         "q3_ms",
         "max_ms",
     ]);
-    println!(
+    outln!(
         "Search strategies on Sibenik / in-place, {} evaluations each, {} repeats",
-        budget, opts.repeats
+        budget,
+        opts.repeats
     );
-    println!(
+    outln!(
         "{:<14} {:>40}",
-        "strategy", "best found, ms (min/q1/med/q3/max)"
+        "strategy",
+        "best found, ms (min/q1/med/q3/max)"
     );
 
     type Factory<'a> = (&'a str, Box<dyn Fn(u64) -> Box<dyn SearchStrategy>>);
@@ -104,7 +107,7 @@ fn main() {
             })
             .collect();
         let f = five_num(&results);
-        println!("{:<14} {:>40}", name, f.render(2));
+        outln!("{:<14} {:>40}", name, f.render(2));
         csv.push([
             name.to_string(),
             format!("{:.4}", f.min),

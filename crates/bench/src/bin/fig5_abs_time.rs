@@ -12,11 +12,12 @@ use kdtune_bench::cli::ExperimentArgs;
 use kdtune_bench::csv::CsvTable;
 use kdtune_bench::harness::{tune_scene_repeated, ExperimentOpts};
 use kdtune_bench::stats::median;
+use kdtune_telemetry::outln;
 
 const SCENES: [&str; 3] = ["sibenik", "sponza", "fairy_forest"];
 
 fn main() {
-    let args = ExperimentArgs::from_env();
+    let args = ExperimentArgs::from_env(&[]);
     let opts = ExperimentOpts::from_args(&args);
     let scene_filter: Vec<&str> = match &args.scene {
         Some(s) => vec![s.as_str()],
@@ -31,13 +32,17 @@ fn main() {
         "speedup",
         "converged_runs",
     ]);
-    println!(
+    outln!(
         "Fig. 5 — absolute execution time per frame (median over {} repeats)",
         opts.repeats
     );
-    println!(
+    outln!(
         "{:<14} {:<12} {:>10} {:>10} {:>8}",
-        "scene", "algorithm", "base ms", "tuned ms", "speedup"
+        "scene",
+        "algorithm",
+        "base ms",
+        "tuned ms",
+        "speedup"
     );
     for name in scene_filter {
         let scene =
@@ -48,7 +53,7 @@ fn main() {
             let tuned = median(&outcomes.iter().map(|o| o.tuned_median).collect::<Vec<_>>());
             let speedup = base / tuned;
             let converged = outcomes.iter().filter(|o| o.converged).count();
-            println!(
+            outln!(
                 "{:<14} {:<12} {:>10.2} {:>10.2} {:>8.2}",
                 name,
                 algo.name(),

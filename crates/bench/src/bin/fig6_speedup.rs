@@ -9,9 +9,10 @@ use kdtune_bench::cli::ExperimentArgs;
 use kdtune_bench::csv::CsvTable;
 use kdtune_bench::harness::{tune_scene_repeated, ExperimentOpts};
 use kdtune_bench::stats::median;
+use kdtune_telemetry::{outln, print_or_exit};
 
 fn main() {
-    let args = ExperimentArgs::from_env();
+    let args = ExperimentArgs::from_env(&[]);
     let opts = ExperimentOpts::from_args(&args);
     let scenes = match &args.scene {
         Some(s) => {
@@ -24,18 +25,18 @@ fn main() {
     let mut best: Option<(f64, String)> = None;
     let mut worst: Option<(f64, String)> = None;
 
-    println!(
+    outln!(
         "Fig. 6 — speedup of tuned vs base configuration (median over {} repeats)",
         opts.repeats
     );
-    print!("{:<14}", "scene");
+    print_or_exit(format_args!("{:<14}", "scene"));
     for algo in Algorithm::ALL {
-        print!(" {:>11}", algo.name());
+        print_or_exit(format_args!(" {:>11}", algo.name()));
     }
-    println!();
+    outln!();
 
     for scene in &scenes {
-        print!("{:<14}", scene.name);
+        print_or_exit(format_args!("{:<14}", scene.name));
         for algo in Algorithm::ALL {
             // `--threads N` pins the pool width for the whole tuning run
             // (builds included), so speedups at a given width are
@@ -43,7 +44,7 @@ fn main() {
             let outcomes = args.with_pool(|| tune_scene_repeated(scene, algo, &opts));
             let speedups: Vec<f64> = outcomes.iter().map(|o| o.speedup).collect();
             let s = median(&speedups);
-            print!(" {:>11.2}", s);
+            print_or_exit(format_args!(" {:>11.2}", s));
             csv.push([
                 scene.name.to_string(),
                 algo.name().to_string(),
@@ -57,15 +58,15 @@ fn main() {
                 worst = Some((s, label));
             }
         }
-        println!();
+        outln!();
     }
 
-    println!();
+    outln!();
     if let Some((s, label)) = best {
-        println!("highest speedup: {s:.2}x ({label})  [paper: 1.96x, lazy on Sibenik]");
+        outln!("highest speedup: {s:.2}x ({label})  [paper: 1.96x, lazy on Sibenik]");
     }
     if let Some((s, label)) = worst {
-        println!("lowest speedup:  {s:.2}x ({label})  [paper: 0.99x, in-place on Bunny]");
+        outln!("lowest speedup:  {s:.2}x ({label})  [paper: 0.99x, in-place on Bunny]");
     }
     csv.save_into(args.out.as_deref(), "fig6")
         .expect("csv write");

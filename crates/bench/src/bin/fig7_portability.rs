@@ -16,14 +16,15 @@ use kdtune_bench::csv::CsvTable;
 use kdtune_bench::harness::{normalized_percent, tune_scene_repeated, ExperimentOpts};
 use kdtune_bench::platforms::{run_on, PLATFORMS};
 use kdtune_bench::stats::{ascii_box, five_num};
+use kdtune_telemetry::outln;
 
 const ALGO: Algorithm = Algorithm::InPlace;
 
 fn report(group: &str, label: &str, configs: &[Config], csv: &mut CsvTable) {
-    println!("\n  {label}:");
+    outln!("\n  {label}:");
     for (param, values) in normalized_percent(ALGO, configs) {
         let f = five_num(&values);
-        println!(
+        outln!(
             "    {:<3} |{}| {}",
             param,
             ascii_box(&f, 0.0, 100.0, 40),
@@ -43,21 +44,21 @@ fn report(group: &str, label: &str, configs: &[Config], csv: &mut CsvTable) {
 }
 
 fn main() {
-    let args = ExperimentArgs::from_env();
+    let args = ExperimentArgs::from_env(&["--platforms"]);
     let opts = ExperimentOpts::from_args(&args);
     let mut csv = CsvTable::new([
         "group", "label", "param", "min", "q1", "median", "q3", "max",
     ]);
 
-    println!(
+    outln!(
         "Fig. 7 — tuned configuration distributions, in-place algorithm, {} repeats,",
         opts.repeats
     );
-    println!("normalized to [0, 100] per parameter (min/q1/median/q3/max)");
+    outln!("normalized to [0, 100] per parameter (min/q1/median/q3/max)");
 
     if args.has_flag("--platforms") {
         // (c) four emulated platforms on Sibenik.
-        println!("\n(c) Sibenik across emulated platforms (thread-pool widths)");
+        outln!("\n(c) Sibenik across emulated platforms (thread-pool widths)");
         let scene = sibenik(&opts.scene_params);
         for platform in PLATFORMS {
             // `--threads N` overrides every profile's width — useful for
@@ -69,13 +70,13 @@ fn main() {
             report("platforms", platform.name, &configs, &mut csv);
         }
     } else {
-        println!("\n(a) static scenes");
+        outln!("\n(a) static scenes");
         for scene in static_scenes(&opts.scene_params) {
             let outcomes = args.with_pool(|| tune_scene_repeated(&scene, ALGO, &opts));
             let configs: Vec<Config> = outcomes.into_iter().map(|o| o.tuned_config).collect();
             report("static", scene.name, &configs, &mut csv);
         }
-        println!("\n(b) dynamic scenes");
+        outln!("\n(b) dynamic scenes");
         for scene in dynamic_scenes(&opts.scene_params) {
             let outcomes = args.with_pool(|| tune_scene_repeated(&scene, ALGO, &opts));
             let configs: Vec<Config> = outcomes.into_iter().map(|o| o.tuned_config).collect();

@@ -12,15 +12,16 @@ use kdtune_bench::cli::ExperimentArgs;
 use kdtune_bench::csv::CsvTable;
 use kdtune_bench::harness::{tune_scene_repeated, ExperimentOpts};
 use kdtune_bench::stats::mean;
+use kdtune_telemetry::outln;
 
 const ALGO: Algorithm = Algorithm::InPlace;
 
 fn main() {
-    let args = ExperimentArgs::from_env();
+    let args = ExperimentArgs::from_env(&[]);
     let opts = ExperimentOpts::from_args(&args);
     let mut csv = CsvTable::new(["scene", "iteration", "mean_speedup"]);
 
-    println!(
+    outln!(
         "Fig. 8 — mean speedup over tuning iterations ({} repeats, in-place algorithm)",
         opts.repeats
     );
@@ -28,7 +29,7 @@ fn main() {
     for scene in [sponza(&opts.scene_params), wood_doll(&opts.scene_params)] {
         let outcomes = tune_scene_repeated(&scene, ALGO, &opts);
         let max_len = outcomes.iter().map(|o| o.history.len()).max().unwrap_or(0);
-        println!("\n{} ({} iterations recorded):", scene.name, max_len);
+        outln!("\n{} ({} iterations recorded):", scene.name, max_len);
         let mut series = Vec::with_capacity(max_len);
         for i in 0..max_len {
             let speedups: Vec<f64> = outcomes
@@ -43,7 +44,7 @@ fn main() {
             csv.push([scene.name.to_string(), i.to_string(), format!("{s:.4}")]);
             if i % stride == 0 || i + 1 == series.len() {
                 let bar_len = ((s / 2.0).clamp(0.0, 1.0) * 40.0) as usize;
-                println!("  iter {:>4}: {:>6.2}x |{}", i, s, "*".repeat(bar_len));
+                outln!("  iter {:>4}: {:>6.2}x |{}", i, s, "*".repeat(bar_len));
             }
         }
         // Stability check mirroring the paper's "stable after ~40".
@@ -54,9 +55,7 @@ fn main() {
                 .iter()
                 .map(|s| (s - tail_mean).abs())
                 .fold(0.0f64, f64::max);
-            println!(
-                "  after iteration 40: mean speedup {tail_mean:.2}x, max deviation {jitter:.2}"
-            );
+            outln!("  after iteration 40: mean speedup {tail_mean:.2}x, max deviation {jitter:.2}");
         }
     }
     csv.save_into(args.out.as_deref(), "fig8")

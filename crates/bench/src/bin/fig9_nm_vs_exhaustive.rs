@@ -16,6 +16,7 @@ use kdtune_bench::cli::ExperimentArgs;
 use kdtune_bench::csv::CsvTable;
 use kdtune_bench::harness::{measure_config, tune_scene_repeated, ExperimentOpts};
 use kdtune_bench::stats::five_num;
+use kdtune_telemetry::outln;
 
 /// Runs the exhaustive grid (strided) and returns (best cost, evaluations).
 fn exhaustive_best(
@@ -37,7 +38,7 @@ fn exhaustive_best(
 }
 
 fn main() {
-    let args = ExperimentArgs::from_env();
+    let args = ExperimentArgs::from_env(&[]);
     let opts = ExperimentOpts::from_args(&args);
     // Grid stride: quick mode visits a coarse lattice, full mode a finer
     // one. Endpoints are always included by ExhaustiveSearch.
@@ -55,13 +56,17 @@ fn main() {
         "default_ms",
     ]);
 
-    println!(
+    outln!(
         "Fig. 9 — Nelder–Mead vs exhaustive vs default on Sibenik ({} NM repeats, grid stride {})",
-        opts.repeats, stride
+        opts.repeats,
+        stride
     );
-    println!(
+    outln!(
         "{:<12} {:>34} {:>12} {:>12}",
-        "algorithm", "NM runtime ms (min/q1/med/q3/max)", "exhaustive", "default"
+        "algorithm",
+        "NM runtime ms (min/q1/med/q3/max)",
+        "exhaustive",
+        "default"
     );
 
     for algo in Algorithm::ALL {
@@ -79,7 +84,7 @@ fn main() {
         };
         let default_cost = measure_config(&scene, algo, &default_values, &opts, opts.steady_window);
 
-        println!(
+        outln!(
             "{:<12} {:>34} {:>9.2}ms {:>9.2}ms",
             algo.name(),
             f.render(2),
@@ -87,9 +92,11 @@ fn main() {
             default_cost * 1e3
         );
         let gap = (f.median / (ex_best * 1e3) - 1.0) * 100.0;
-        println!(
+        outln!(
             "{:<12} NM median vs exhaustive optimum: {:+.1}% ({} grid points)",
-            "", gap, ex_evals
+            "",
+            gap,
+            ex_evals
         );
         csv.push([
             algo.name().to_string(),

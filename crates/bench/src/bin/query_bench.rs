@@ -31,6 +31,7 @@ use kdtune_geometry::{TriangleMesh, Vec3};
 use kdtune_raycast::{render_with, Camera};
 use kdtune_scenes::{by_name, sample_points, PointSampler, SceneParams};
 use kdtune_telemetry::json::JsonValue;
+use kdtune_telemetry::outln;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -126,7 +127,7 @@ fn values_json(values: &[i64]) -> JsonValue {
 }
 
 fn main() {
-    let args = ExperimentArgs::from_env();
+    let args = ExperimentArgs::from_env(&["--smoke"]);
     let smoke = args.has_flag("--smoke");
     let settings = if smoke {
         BenchSettings {
@@ -163,7 +164,7 @@ fn main() {
         (SceneParams::quick(), "quick")
     };
 
-    println!(
+    outln!(
         "query bench — {} scene(s), {}x{} renders vs {}-point batches (k={}, r={}‰), \
          ≤{} tuner steps, {} repeats",
         scenes.len(),
@@ -234,7 +235,7 @@ fn main() {
         let query_advantage = query_under_render / query_under_query;
         let render_advantage = render_under_query / render_under_render;
 
-        println!(
+        outln!(
             "\n{name} ({} tris): render-tuned {:?}  query-tuned {:?} \
              (cold {} steps{}, warm {} steps{})",
             mesh.len(),
@@ -245,13 +246,13 @@ fn main() {
             query_warm.steps,
             if query_warm.converged { "" } else { "*" },
         );
-        println!(
+        outln!(
             "  query cycle:  render-tuned {:.3} ms  query-tuned {:.3} ms  ({:.2}x for query-tuned)",
             query_under_render * 1e3,
             query_under_query * 1e3,
             query_advantage,
         );
-        println!(
+        outln!(
             "  render cycle: render-tuned {:.3} ms  query-tuned {:.3} ms  ({:.2}x for render-tuned)",
             render_under_render * 1e3,
             render_under_query * 1e3,

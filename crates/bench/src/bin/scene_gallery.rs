@@ -16,10 +16,11 @@ use kdtune::scenes::all_scenes;
 use kdtune::{build, Algorithm, BuildParams};
 use kdtune_bench::cli::ExperimentArgs;
 use kdtune_bench::harness::ExperimentOpts;
+use kdtune_telemetry::outln;
 use std::path::PathBuf;
 
 fn main() {
-    let args = ExperimentArgs::from_env();
+    let args = ExperimentArgs::from_env(&[]);
     let opts = ExperimentOpts::from_args(&args);
     let out = args.out.clone().unwrap_or_else(|| PathBuf::from("gallery"));
     std::fs::create_dir_all(&out).expect("create output dir");
@@ -42,7 +43,7 @@ fn main() {
                 render_with_options(&tree, tree.mesh(), &camera, v.light, &opts.render_options);
             let path = out.join(format!("{}_{f:03}.ppm", scene.name));
             image.save_ppm(&path).expect("write ppm");
-            println!(
+            outln!(
                 "{:<36} {:>7} tris, {:>5.1}% coverage, mean luminance {:.3}",
                 path.display(),
                 tris,

@@ -36,6 +36,7 @@ use kdtune_kdtree::{PacketCounters, RayQuery};
 use kdtune_raycast::{
     render_with, render_with_options, Camera, RayTable, RenderOptions, RenderStats,
 };
+use kdtune_telemetry::outln;
 use std::path::Path;
 use std::time::Instant;
 
@@ -327,7 +328,7 @@ fn write_json(path: &Path, entries: &[(String, String)]) -> std::io::Result<()> 
 }
 
 fn main() {
-    let args = ExperimentArgs::from_env();
+    let args = ExperimentArgs::from_env(&["--smoke"]);
     let smoke = args.has_flag("--smoke");
     let (params, res) = if smoke {
         (SceneParams::tiny(), SMOKE_RES)
@@ -363,7 +364,7 @@ fn main() {
     let camera = Camera::look_at(v.eye, v.target, v.up, v.fov_deg, res, res);
     let tree = build(mesh.clone(), Algorithm::InPlace, &BuildParams::default());
     let eager = tree.as_eager().expect("InPlace builds an eager tree");
-    println!(
+    outln!(
         "traversal bench — fairy_forest (complexity {}, seed {:#x}), {} tris, {res}x{res}, \
          {} nodes ({} KiB packed), depth bound {}, {threads} thread(s), {repeats} repeats",
         params.complexity,
@@ -384,9 +385,12 @@ fn main() {
         })
         .collect();
 
-    println!(
+    outln!(
         "{:<12} {:>12} {:>14} {:>10}",
-        "path", "frame ms", "rays/sec", "ns/ray"
+        "path",
+        "frame ms",
+        "rays/sec",
+        "ns/ray"
     );
     let mut rows: Vec<&PathResult> = Vec::new();
     for wr in &width_results {
@@ -398,7 +402,7 @@ fn main() {
         ]);
     }
     for r in rows {
-        println!(
+        outln!(
             "{:<12} {:>12.3} {:>14.0} {:>10.1}",
             r.label,
             r.median_secs * 1e3,
@@ -407,7 +411,7 @@ fn main() {
         );
     }
     for wr in &width_results {
-        println!(
+        outln!(
             "w={}: primary speedup {:.2}x (lane util {:.1}%, frustum-resolved {:.1}%), \
              full-frame speedup {:.2}x (lane util {:.1}%, frustum-resolved {:.1}%, \
              {} fallback lanes)",

@@ -27,6 +27,10 @@ pub struct ExperimentArgs {
     pub flags: Vec<String>,
 }
 
+/// The options every experiment binary takes.
+const USAGE: &str = "options: --quick (default) | --full | --out DIR | --scene NAME | \
+                     --repeats N | --trace FILE | --threads N | --packet-width 0|1|4|8|16";
+
 impl Default for ExperimentArgs {
     fn default() -> Self {
         ExperimentArgs {
@@ -88,14 +92,7 @@ impl ExperimentArgs {
                     }
                     out.packet_width = Some(n);
                 }
-                "--help" | "-h" => {
-                    return Err(
-                        "options: --quick (default) | --full | --out DIR | --scene NAME | \
-                         --repeats N | --trace FILE | --threads N | --packet-width 0|1|4|8|16 | \
-                         binary-specific flags (e.g. --platforms)"
-                            .to_string(),
-                    )
-                }
+                "--help" | "-h" => return Err(USAGE.to_string()),
                 other if other.starts_with("--") => out.flags.push(other.to_string()),
                 other => return Err(format!("unexpected argument {other:?}")),
             }
@@ -103,14 +100,37 @@ impl ExperimentArgs {
         Ok(out)
     }
 
-    /// Parses `std::env::args()` and exits with a usage message on error.
-    /// Installs the JSONL trace recorder when `--trace` / `KDTUNE_TRACE`
-    /// asks for one, so every figure binary traces for free.
-    pub fn from_env() -> ExperimentArgs {
-        let args = match ExperimentArgs::parse(std::env::args().skip(1)) {
+    /// Rejects any binary-specific flag not in `own_flags`, the bare
+    /// flags the calling binary reads: a misspelled flag must not be
+    /// ignored.
+    ///
+    /// # Errors
+    /// Names the first unknown flag.
+    pub fn only_flags(self, own_flags: &[&str]) -> Result<ExperimentArgs, String> {
+        match self.flags.iter().find(|f| !own_flags.contains(&f.as_str())) {
+            Some(flag) => Err(format!("unknown flag {flag}")),
+            None => Ok(self),
+        }
+    }
+
+    /// Parses `std::env::args()`, accepting the bare flags in `own_flags`
+    /// besides the shared options, and exits with status 2 and the usage
+    /// on an error or `--help`. Installs the JSONL trace recorder when
+    /// `--trace` / `KDTUNE_TRACE` asks for one, so every figure binary
+    /// traces for free.
+    pub fn from_env(own_flags: &[&str]) -> ExperimentArgs {
+        let parsed = ExperimentArgs::parse(std::env::args().skip(1))
+            .and_then(|args| args.only_flags(own_flags));
+        let args = match parsed {
             Ok(a) => a,
             Err(msg) => {
                 eprintln!("{msg}");
+                if msg != USAGE {
+                    eprintln!("{USAGE}");
+                }
+                if !own_flags.is_empty() {
+                    eprintln!("flags of this binary: {}", own_flags.join(" "));
+                }
                 std::process::exit(2);
             }
         };
@@ -188,6 +208,22 @@ mod tests {
         let a = parse(&["--platforms"]).unwrap();
         assert!(a.has_flag("--platforms"));
         assert!(!a.has_flag("--other"));
+    }
+
+    #[test]
+    fn only_the_binarys_own_flags_pass() {
+        let a = parse(&["--smoke", "--out", "x"]).unwrap();
+        assert!(a.clone().only_flags(&["--smoke"]).is_ok());
+        assert_eq!(
+            a.clone().only_flags(&[]).unwrap_err(),
+            "unknown flag --smoke"
+        );
+        let typo = parse(&["--smoke", "--smkoe-typo"]).unwrap();
+        assert_eq!(
+            typo.only_flags(&["--smoke"]).unwrap_err(),
+            "unknown flag --smkoe-typo"
+        );
+        assert!(parse(&["--out", "x"]).unwrap().only_flags(&[]).is_ok());
     }
 
     #[test]

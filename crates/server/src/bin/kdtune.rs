@@ -21,7 +21,7 @@ use kdtune::{
     build, select_algorithm, Algorithm, BuildParams, RenderOptions, Scene, SceneParams,
     SelectorOpts, TreeStats, TunedPipeline,
 };
-use kdtune_server::outln;
+use kdtune_telemetry::outln;
 use std::collections::HashMap;
 use std::process::ExitCode;
 use std::sync::Arc;

@@ -8,31 +8,8 @@ use crate::top::{self, TopOptions};
 use kdtune_telemetry as telemetry;
 use kdtune_telemetry::json::JsonValue;
 use kdtune_telemetry::sinks::JsonlRecorder;
-use std::io::Write;
 use std::path::PathBuf;
 use std::sync::Arc;
-
-/// Writes command output to stdout, like `print!`. A reader that went
-/// away (`kdtune render bunny | head -1`) leaves the command nothing to
-/// do, so a broken pipe flushes telemetry and ends the process with
-/// status 0 where `print!` would panic.
-pub fn print_or_exit(args: std::fmt::Arguments) {
-    if let Err(e) = std::io::stdout().write_fmt(args) {
-        if e.kind() == std::io::ErrorKind::BrokenPipe {
-            telemetry::flush();
-            std::process::exit(0);
-        }
-        panic!("failed printing to stdout: {e}");
-    }
-}
-
-/// `println!` through [`print_or_exit`]: the CLI's output macro.
-#[macro_export]
-macro_rules! outln {
-    ($($arg:tt)*) => {
-        $crate::cli::print_or_exit(format_args!("{}\n", format_args!($($arg)*)))
-    };
-}
 
 /// Usage text for `serve` / `renderd`.
 pub const SERVE_USAGE: &str = "\
@@ -221,7 +198,7 @@ fn reject_leftovers(args: &[String], usage: &str) -> Result<(), String> {
 pub fn serve(args: &[String]) -> Result<(), String> {
     let mut args = args.to_vec();
     if take_flag(&mut args, "--help") {
-        crate::outln!("{SERVE_USAGE}");
+        telemetry::outln!("{SERVE_USAGE}");
         return Ok(());
     }
     let mut config = ServerConfig::default();
@@ -248,7 +225,7 @@ pub fn serve(args: &[String]) -> Result<(), String> {
     }
     let server =
         RenderServer::bind(config.clone()).map_err(|e| format!("bind {}: {e}", config.addr))?;
-    crate::outln!(
+    telemetry::outln!(
         "renderd listening on {} ({} workers, queue {}, cache {} MiB, max {} conns, store {})",
         server.local_addr(),
         config.workers,
@@ -261,7 +238,7 @@ pub fn serve(args: &[String]) -> Result<(), String> {
     telemetry::flush();
     telemetry::clear_recorder();
     result?;
-    crate::outln!("renderd: drained and stopped");
+    telemetry::outln!("renderd: drained and stopped");
     Ok(())
 }
 
@@ -270,7 +247,7 @@ pub fn serve(args: &[String]) -> Result<(), String> {
 pub fn loadgen(args: &[String]) -> Result<(), String> {
     let mut args = args.to_vec();
     if take_flag(&mut args, "--help") {
-        crate::outln!("{LOADGEN_USAGE}");
+        telemetry::outln!("{LOADGEN_USAGE}");
         return Ok(());
     }
     let smoke = take_flag(&mut args, "--smoke");
@@ -350,12 +327,12 @@ pub fn loadgen(args: &[String]) -> Result<(), String> {
     };
     for (connections, report) in &reports {
         if let Some(connections) = connections {
-            crate::outln!("--- {connections} connections ---");
+            telemetry::outln!("--- {connections} connections ---");
         }
-        crate::outln!("{}", loadgen::format_summary(report));
+        telemetry::outln!("{}", loadgen::format_summary(report));
     }
     if let Some(path) = &options.out {
-        crate::outln!("report written to {}", path.display());
+        telemetry::outln!("report written to {}", path.display());
     }
     for (connections, report) in &reports {
         let point = connections
@@ -390,7 +367,7 @@ pub fn loadgen(args: &[String]) -> Result<(), String> {
 pub fn route(args: &[String]) -> Result<(), String> {
     let mut args = args.to_vec();
     if take_flag(&mut args, "--help") {
-        crate::outln!("{ROUTE_USAGE}");
+        telemetry::outln!("{ROUTE_USAGE}");
         return Ok(());
     }
     let mut config = RouterConfig::default();
@@ -441,14 +418,14 @@ pub fn route(args: &[String]) -> Result<(), String> {
         ShardMode::Attach(addrs) => format!("{} attached shards", addrs.len()),
     };
     let router = Router::bind(config.clone()).map_err(|e| format!("bind {}: {e}", config.addr))?;
-    crate::outln!(
+    telemetry::outln!(
         "router listening on {} ({mode}, max {} conns, {} pending/shard)",
         router.local_addr(),
         config.max_conns,
         config.pending_per_shard
     );
     router.run().map_err(|e| format!("router error: {e}"))?;
-    crate::outln!("router: drained and stopped");
+    telemetry::outln!("router: drained and stopped");
     Ok(())
 }
 
@@ -456,7 +433,7 @@ pub fn route(args: &[String]) -> Result<(), String> {
 pub fn top(args: &[String]) -> Result<(), String> {
     let mut args = args.to_vec();
     if take_flag(&mut args, "--help") {
-        crate::outln!("{TOP_USAGE}");
+        telemetry::outln!("{TOP_USAGE}");
         return Ok(());
     }
     let mut options = TopOptions::default();
@@ -473,7 +450,7 @@ pub fn top(args: &[String]) -> Result<(), String> {
 pub fn metrics(args: &[String]) -> Result<(), String> {
     let mut args = args.to_vec();
     if take_flag(&mut args, "--help") {
-        crate::outln!("{METRICS_USAGE}");
+        telemetry::outln!("{METRICS_USAGE}");
         return Ok(());
     }
     let addr = take_parsed(&mut args, "--addr", "127.0.0.1:7464".to_string())?;
@@ -488,7 +465,7 @@ pub fn metrics(args: &[String]) -> Result<(), String> {
         .and_then(|r| r.get("text"))
         .and_then(JsonValue::as_str)
         .ok_or_else(|| format!("metrics response had no result.text: {response}"))?;
-    print_or_exit(format_args!("{text}"));
+    telemetry::print_or_exit(format_args!("{text}"));
     Ok(())
 }
 

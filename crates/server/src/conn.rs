@@ -199,8 +199,12 @@ pub(crate) enum Flush {
 }
 
 impl Conn {
+    /// Wraps a client or upstream socket. Nagle's algorithm is off: a
+    /// reply line written behind an unacknowledged one must not wait for
+    /// the peer's delayed ACK.
     pub fn new(stream: TcpStream, waker: Arc<Waker>, line_cap: usize) -> std::io::Result<Conn> {
         stream.set_nonblocking(true)?;
+        stream.set_nodelay(true)?;
         Ok(Conn {
             stream,
             handle: ConnHandle::new(waker),
@@ -577,6 +581,18 @@ mod tests {
         let (server_side, _) = listener.accept().unwrap();
         let (waker, _rx) = Waker::pair().unwrap();
         (Conn::new(server_side, waker, line_cap).unwrap(), client)
+    }
+
+    #[test]
+    fn accepted_and_connected_sockets_disable_nagle() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let connected = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        for stream in [accepted, connected] {
+            let (waker, _rx) = Waker::pair().unwrap();
+            let conn = Conn::new(stream, waker, 64).unwrap();
+            assert!(conn.stream.nodelay().unwrap());
+        }
     }
 
     #[test]

@@ -44,16 +44,16 @@ pub fn run(options: &TopOptions) -> Result<(), String> {
         let stats = match fetch_stats(&options.addr) {
             Ok(stats) => stats,
             Err(e) if painted > 0 => {
-                crate::outln!("server gone ({e}); exiting");
+                kdtune_telemetry::outln!("server gone ({e}); exiting");
                 return Ok(());
             }
             Err(e) => return Err(e),
         };
         if options.clear_screen {
             // ANSI clear + cursor home; repaint in place like top(1).
-            crate::cli::print_or_exit(format_args!("\x1b[2J\x1b[H"));
+            kdtune_telemetry::print_or_exit(format_args!("\x1b[2J\x1b[H"));
         }
-        crate::outln!("{}", render_dashboard(&stats));
+        kdtune_telemetry::outln!("{}", render_dashboard(&stats));
         painted += 1;
         if let Some(limit) = options.iterations {
             if painted >= limit {

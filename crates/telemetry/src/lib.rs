@@ -237,6 +237,33 @@ pub fn flush() {
     }
 }
 
+/// Writes command output to stdout, like `print!`. A reader that went
+/// away (`kdtune render bunny | head -1`) leaves the command nothing to
+/// do, so a broken pipe flushes telemetry and ends the process with
+/// status 0 where `print!` would panic.
+pub fn print_or_exit(args: std::fmt::Arguments) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            flush();
+            std::process::exit(0);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
+
+/// `println!` through [`print_or_exit`]: the command-line binaries'
+/// output macro.
+#[macro_export]
+macro_rules! outln {
+    () => {
+        $crate::print_or_exit(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        $crate::print_or_exit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 #[inline]
 fn dispatch(mut record: Record) {
     // Tag records with the thread's active trace (see [`trace`]) so
