@@ -24,6 +24,7 @@ fn counted_traversal_matches_plain() {
     let mesh = sibenik(&SceneParams::tiny()).frame(0);
     let tree = build(mesh, Algorithm::InPlace, &BuildParams::default());
     let tree = tree.as_eager().unwrap();
+    let mut total = TraversalCounters::default();
     for (i, ray) in test_rays(64).iter().enumerate() {
         let plain = tree.intersect(ray, 1e-4, f32::INFINITY);
         let (counted, counters) = tree.intersect_counted(ray, 1e-4, f32::INFINITY);
@@ -32,7 +33,18 @@ fn counted_traversal_matches_plain() {
             assert!(counters.tris_tested > 0);
             assert!(counters.leaves_visited > 0);
         }
+        total = total.merge(counters);
     }
+    // The work itself is pinned: a traversal change that visits other
+    // nodes or tests other triangles fails here even when hits agree.
+    assert_eq!(
+        total,
+        TraversalCounters {
+            inner_visited: 1210,
+            leaves_visited: 361,
+            tris_tested: 714,
+        }
+    );
 }
 
 #[test]

@@ -558,16 +558,36 @@ mod tests {
 
     #[test]
     fn lazy_tree_expands_only_visible_region() {
-        let tree = build(
-            scene(),
-            Algorithm::Lazy,
-            &BuildParams {
-                r: 1, // defer nothing… r=1 means nodes with <1 prims defer — none
-                ..BuildParams::default()
-            },
+        // The test scene plus a row of small triangles far to the right,
+        // outside the view and off every shadow ray's path. At R = 4 (a
+        // node of at most four primitives defers) the row lands in
+        // deferred nodes a render never reaches.
+        let mut mesh = (*scene()).clone();
+        for i in 0..32 {
+            let x = 10.0 + i as f32;
+            mesh.push_triangle(Triangle::new(
+                Vec3::new(x, 0.0, 2.0),
+                Vec3::new(x + 0.8, 0.0, 2.0),
+                Vec3::new(x, 1.0, 2.0),
+            ));
+        }
+        let mesh = Arc::new(mesh);
+        let params = BuildParams {
+            r: 4,
+            ..BuildParams::default()
+        };
+        let tree = build(Arc::clone(&mesh), Algorithm::Lazy, &params);
+        let lazy = tree.as_lazy().unwrap();
+        assert!(lazy.deferred_count() > 1, "{lazy:?}");
+        assert_eq!(lazy.expanded_count(), 0);
+        let light = Vec3::ZERO;
+        let (_, stats) = render(&tree, &camera(), light);
+        let expanded = lazy.expanded_count();
+        assert!(
+            expanded > 0 && expanded < lazy.deferred_count(),
+            "one render must expand some but not all deferred nodes: {lazy:?}"
         );
-        // Just ensure the lazy path renders without issue at extreme R.
-        let (_, stats) = render(&tree, &camera(), Vec3::ZERO);
-        assert!(stats.primary_hits > 0);
+        let eager = build(mesh, Algorithm::InPlace, &BuildParams::default());
+        assert_eq!(stats, render(&eager, &camera(), light).1);
     }
 }
