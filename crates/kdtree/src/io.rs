@@ -25,7 +25,8 @@
 //! high 30 bits the right-child index (inner) or first-prim offset
 //! (leaf); `data` is the split position's `f32` bits (inner) or the prim
 //! count (leaf). Left children are implicit at `index + 1` — decoded
-//! inner nodes are checked for that preorder shape. Each header count is
+//! inner nodes are checked for that preorder shape, and a lazy tree's
+//! deferred leaf (count `u32::MAX`) is rejected. Each header count is
 //! checked against the bytes left before anything is allocated for it.
 
 use crate::tree::{KdTree, PackedNode};
@@ -184,6 +185,9 @@ pub fn decode(bytes: &[u8]) -> Result<KdTree, DecodeError> {
         let word = r.u32()?;
         let data = r.u32()?;
         let node = PackedNode::from_raw(word, data);
+        if node.deferred_slot().is_some() {
+            return Err(DecodeError::Corrupt("deferred leaf in an eager tree"));
+        }
         if node.is_leaf() {
             if node.prim_first() as usize != prim_total {
                 return Err(DecodeError::Corrupt("leaf ranges not contiguous"));
@@ -347,5 +351,21 @@ mod tests {
             off += 8;
         }
         assert!(matches!(decode(&bad), Err(DecodeError::Corrupt(_))));
+    }
+
+    #[test]
+    fn rejects_deferred_leaf() {
+        let original = tree();
+        let mut bad = encode(&original);
+        // Mark the first leaf record deferred: count u32::MAX.
+        let mut off = nodes_offset(&original);
+        while u32::from_le_bytes(bad[off..off + 4].try_into().unwrap()) & 3 != 3 {
+            off += 8;
+        }
+        bad[off + 4..off + 8].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(
+            decode(&bad),
+            Err(DecodeError::Corrupt("deferred leaf in an eager tree"))
+        ));
     }
 }

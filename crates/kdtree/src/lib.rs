@@ -58,8 +58,6 @@ pub use query::{BuiltTree, RayQuery};
 pub use sah::SahParams;
 pub use split::{best_split_naive, best_split_sweep, best_split_sweep_idx, classify, SplitPlane};
 pub use stats::{to_dot, TreeHistograms, TreeStats};
-#[cfg(feature = "traversal-counters")]
-pub use traverse::global_counters;
 pub use traverse::{brute_force_intersect, TraversalCounters, FIXED_TRAVERSAL_STACK};
 pub use traverse_packet::PacketCounters;
 pub use tree::{KdTree, NodeKind, PackedNode, MAX_NODE_PAYLOAD};

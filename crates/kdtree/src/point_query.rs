@@ -26,7 +26,7 @@
 //! already holds (O(k) scan on accepted candidates only), and the gather
 //! sorts + dedups its output in place.
 
-use crate::traverse::FIXED_TRAVERSAL_STACK;
+use crate::traverse::{ArrayStack, TraversalStack, VecStack};
 use crate::tree::KdTree;
 use kdtune_geometry::{TriangleMesh, Vec3};
 
@@ -42,67 +42,10 @@ pub struct Neighbor {
 }
 
 /// A deferred far-subtree: `(node index, squared lower bound on the
-/// distance from the query point to the subtree's region)`.
+/// distance from the query point to the subtree's region)`. One entry is
+/// pushed per inner node on the current root-to-leaf path, so the
+/// ray-traversal depth bound and stacks apply unchanged.
 type PqEntry = (u32, f32);
-
-/// Todo-stack abstraction mirroring `traverse::TraversalStack`, so the
-/// same descent runs allocation-free (fixed array) or unbounded (`Vec`
-/// fallback for manually over-deepened trees).
-trait PqStack {
-    fn push(&mut self, entry: PqEntry);
-    fn pop(&mut self) -> Option<PqEntry>;
-}
-
-/// Fixed-capacity stack on the machine stack — zero heap traffic. One
-/// entry is pushed per inner node on the current root-to-leaf path, so
-/// the ray-traversal depth bound applies unchanged.
-struct ArrayPqStack {
-    entries: [PqEntry; FIXED_TRAVERSAL_STACK],
-    len: usize,
-}
-
-impl ArrayPqStack {
-    #[inline(always)]
-    fn new() -> ArrayPqStack {
-        ArrayPqStack {
-            entries: [(0, 0.0); FIXED_TRAVERSAL_STACK],
-            len: 0,
-        }
-    }
-}
-
-impl PqStack for ArrayPqStack {
-    #[inline(always)]
-    fn push(&mut self, entry: PqEntry) {
-        self.entries[self.len] = entry;
-        self.len += 1;
-    }
-
-    #[inline(always)]
-    fn pop(&mut self) -> Option<PqEntry> {
-        if self.len == 0 {
-            None
-        } else {
-            self.len -= 1;
-            Some(self.entries[self.len])
-        }
-    }
-}
-
-/// Growable fallback for trees deeper than the fixed capacity.
-struct VecPqStack(Vec<PqEntry>);
-
-impl PqStack for VecPqStack {
-    #[inline]
-    fn push(&mut self, entry: PqEntry) {
-        self.0.push(entry);
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Option<PqEntry> {
-        self.0.pop()
-    }
-}
 
 /// Query-point coordinates splatted 4-wide so the descent indexes them
 /// with a node's raw 2-bit axis tag — same trick as `RayAxes`: no bounds
@@ -189,7 +132,13 @@ impl<'a> BoundedHeap<'a> {
 }
 
 /// The knn descent, generic over the stack implementation.
-fn knn_impl<S: PqStack>(tree: &KdTree, p: Vec3, k: usize, out: &mut Vec<Neighbor>, stack: &mut S) {
+fn knn_impl<S: TraversalStack<PqEntry>>(
+    tree: &KdTree,
+    p: Vec3,
+    k: usize,
+    out: &mut Vec<Neighbor>,
+    stack: &mut S,
+) {
     let mut heap = BoundedHeap::new(out, k);
     if k == 0 || tree.nodes().is_empty() {
         return;
@@ -237,7 +186,13 @@ fn knn_impl<S: PqStack>(tree: &KdTree, p: Vec3, k: usize, out: &mut Vec<Neighbor
 }
 
 /// The radius-gather descent, generic over the stack implementation.
-fn radius_impl<S: PqStack>(tree: &KdTree, p: Vec3, r: f32, out: &mut Vec<Neighbor>, stack: &mut S) {
+fn radius_impl<S: TraversalStack<PqEntry>>(
+    tree: &KdTree,
+    p: Vec3,
+    r: f32,
+    out: &mut Vec<Neighbor>,
+    stack: &mut S,
+) {
     out.clear();
     if r < 0.0 || tree.nodes().is_empty() {
         return;
@@ -312,9 +267,9 @@ impl KdTree {
     /// (all SAH-built trees).
     pub fn knn_into(&self, p: Vec3, k: usize, out: &mut Vec<Neighbor>) {
         if self.fits_fixed_stack() {
-            knn_impl(self, p, k, out, &mut ArrayPqStack::new());
+            knn_impl(self, p, k, out, &mut ArrayStack::new());
         } else {
-            knn_impl(self, p, k, out, &mut VecPqStack(Vec::new()));
+            knn_impl(self, p, k, out, &mut VecStack::new());
         }
     }
 
@@ -334,9 +289,9 @@ impl KdTree {
     /// [`KdTree::knn_into`].
     pub fn radius_gather_into(&self, p: Vec3, r: f32, out: &mut Vec<Neighbor>) {
         if self.fits_fixed_stack() {
-            radius_impl(self, p, r, out, &mut ArrayPqStack::new());
+            radius_impl(self, p, r, out, &mut ArrayStack::new());
         } else {
-            radius_impl(self, p, r, out, &mut VecPqStack(Vec::new()));
+            radius_impl(self, p, r, out, &mut VecStack::new());
         }
     }
 }
@@ -509,7 +464,7 @@ mod tests {
         }
         let bounds = mesh.bounds();
         let tree = KdTree::from_build(mesh.clone(), bounds, node);
-        assert!(tree.traversal_depth_bound() as usize > FIXED_TRAVERSAL_STACK);
+        assert!(tree.traversal_depth_bound() as usize > crate::FIXED_TRAVERSAL_STACK);
         let q = Vec3::new(7.3, 0.4, 2.0);
         let got = tree.knn(q, 5);
         let expect = brute_force_knn(&mesh, q, 5);

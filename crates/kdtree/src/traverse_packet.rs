@@ -65,8 +65,9 @@
 // zipped lane arrays obscure the lane structure.
 #![allow(clippy::needless_range_loop)]
 
+use crate::query::{per_lane_any, per_lane_nearest};
 use crate::traverse::{
-    intersect_any_core, intersect_core, ArrayStack, FIXED_TRAVERSAL_STACK, T_EPS,
+    intersect_any_core, intersect_core, ArrayStack, Gathered, FIXED_TRAVERSAL_STACK, T_EPS,
 };
 use crate::tree::KdTree;
 use kdtune_geometry::{Hit, PacketFrustum, RayPacket};
@@ -95,8 +96,8 @@ pub struct PacketCounters {
     /// Inner-node steps among `node_steps` resolved by the O(1) frustum
     /// interval classification instead of the per-lane split test.
     pub frustum_steps: u64,
-    /// Lanes handed to the scalar resume path (divergence, `min_active`,
-    /// deep-tree or counters-feature fallback).
+    /// Lanes traced on the scalar path (divergence, `min_active`, or a
+    /// tree without a packet loop: too deep, or lazy).
     pub scalar_fallback_lanes: u64,
 }
 
@@ -296,8 +297,18 @@ fn resume_lane_nearest<const W: usize>(
 ) -> Option<Hit> {
     let ray = p.ray(l);
     let mut scratch = ArrayStack::new();
-    let (mut best, mut early) =
-        intersect_core(tree, ray, t_min, node, t0, t1, &mut scratch, best0, t_best0);
+    let (mut best, mut early) = intersect_core(
+        tree,
+        ray,
+        t_min,
+        node,
+        t0,
+        t1,
+        &mut scratch,
+        best0,
+        t_best0,
+        &mut Gathered,
+    );
     let mut t_best = best.map_or(t_best0, |h| h.t);
     let bit = 1u32 << l;
     for e in stack.pending() {
@@ -318,6 +329,7 @@ fn resume_lane_nearest<const W: usize>(
             &mut scratch,
             best,
             t_best,
+            &mut Gathered,
         );
         t_best = best.map_or(t_best, |h| h.t);
     }
@@ -340,7 +352,17 @@ fn resume_lane_any<const W: usize>(
     let ray = p.ray(l);
     let t_max = p.t_maxes()[l];
     let mut scratch = ArrayStack::new();
-    if intersect_any_core(tree, ray, t_min, t_max, node, t0, t1, &mut scratch) {
+    if intersect_any_core(
+        tree,
+        ray,
+        t_min,
+        t_max,
+        node,
+        t0,
+        t1,
+        &mut scratch,
+        &mut Gathered,
+    ) {
         return true;
     }
     let bit = 1u32 << l;
@@ -358,6 +380,7 @@ fn resume_lane_any<const W: usize>(
             e.t0[l],
             e.t1[l],
             &mut scratch,
+            &mut Gathered,
         ) {
             return true;
         }
@@ -934,43 +957,6 @@ fn packet_any<const W: usize>(
     }
 }
 
-/// Per-lane scalar fallback shared by the non-packet cases.
-fn scalar_packet_nearest<const W: usize>(
-    tree: &KdTree,
-    p: &RayPacket<W>,
-    t_min: f32,
-    counters: &mut PacketCounters,
-) -> [Option<Hit>; W] {
-    let t_maxes = p.t_maxes();
-    let mut out = [None; W];
-    counters.scalar_fallback_lanes += p.active().count_ones() as u64;
-    for l in 0..W {
-        if p.active() & (1 << l) != 0 {
-            out[l] = tree.intersect(p.ray(l), t_min, t_maxes[l]);
-        }
-    }
-    out
-}
-
-/// Per-lane scalar any-hit fallback.
-fn scalar_packet_any<const W: usize>(
-    tree: &KdTree,
-    p: &RayPacket<W>,
-    t_min: f32,
-    counters: &mut PacketCounters,
-) -> u32 {
-    let t_maxes = p.t_maxes();
-    let mut occluded = 0u32;
-    counters.scalar_fallback_lanes += p.active().count_ones() as u64;
-    for l in 0..W {
-        let bit = 1u32 << l;
-        if p.active() & bit != 0 && tree.intersect_any(p.ray(l), t_min, t_maxes[l]) {
-            occluded |= bit;
-        }
-    }
-    occluded
-}
-
 impl KdTree {
     /// Nearest intersection for every active lane of a `W`-wide packet,
     /// with ray parameters in `(t_min, lane t_max)`. Bit-identical per
@@ -982,9 +968,7 @@ impl KdTree {
     /// to keep packets together to the end). `use_frustum` enables the
     /// O(1) interval-frustum split classification (see module docs) —
     /// results are identical either way. Trees too deep for the fixed
-    /// traversal stack run entirely per-lane, as does every packet when
-    /// the `traversal-counters` feature is enabled (so the global
-    /// per-ray counters stay exact).
+    /// traversal stack run entirely per-lane.
     pub fn intersect_packet<const W: usize>(
         &self,
         p: &RayPacket<W>,
@@ -993,10 +977,10 @@ impl KdTree {
         use_frustum: bool,
         counters: &mut PacketCounters,
     ) -> [Option<Hit>; W] {
-        counters.packets += 1;
-        if cfg!(feature = "traversal-counters") || !self.fits_fixed_stack() || p.active() == 0 {
-            return scalar_packet_nearest(self, p, t_min, counters);
+        if !self.fits_fixed_stack() || p.active() == 0 {
+            return per_lane_nearest(self, p, t_min, counters);
         }
+        counters.packets += 1;
         packet_nearest(self, p, t_min, min_active, use_frustum, counters)
     }
 
@@ -1012,10 +996,10 @@ impl KdTree {
         use_frustum: bool,
         counters: &mut PacketCounters,
     ) -> u32 {
-        counters.packets += 1;
-        if cfg!(feature = "traversal-counters") || !self.fits_fixed_stack() || p.active() == 0 {
-            return scalar_packet_any(self, p, t_min, counters);
+        if !self.fits_fixed_stack() || p.active() == 0 {
+            return per_lane_any(self, p, t_min, counters);
         }
+        counters.packets += 1;
         packet_any(self, p, t_min, min_active, use_frustum, counters)
     }
 }

@@ -36,6 +36,11 @@ pub enum ValidationError {
         /// Index of the offending node.
         node: u32,
     },
+    /// A leaf is a lazy tree's deferred leaf, which no eager tree holds.
+    DeferredLeaf {
+        /// Index of the offending node.
+        node: u32,
+    },
     /// Not every node is reachable from the root exactly once.
     NodeCountMismatch {
         /// Number of reachable nodes.
@@ -70,7 +75,8 @@ impl std::error::Error for ValidationError {}
 /// 5. child indices obey the packed preorder layout (left child adjacent
 ///    at `node + 1`, right child forward and in range);
 /// 6. every node is reachable from the root exactly once;
-/// 7. no node lies deeper than [`KdTree::traversal_depth_bound`].
+/// 7. no node lies deeper than [`KdTree::traversal_depth_bound`];
+/// 8. no leaf is a lazy tree's deferred leaf.
 pub fn validate(tree: &KdTree) -> Result<(), ValidationError> {
     let mesh_len = tree.mesh().len();
     let mut seen = vec![false; mesh_len];
@@ -103,9 +109,12 @@ fn validate_node(
             bound: tree.traversal_depth_bound(),
         });
     }
-    match tree.node_kind(node_idx) {
+    let node = tree.nodes()[node_idx as usize];
+    if node.deferred_slot().is_some() {
+        return Err(ValidationError::DeferredLeaf { node: node_idx });
+    }
+    match node.kind(node_idx) {
         NodeKind::Leaf { .. } => {
-            let node = tree.nodes()[node_idx as usize];
             for &prim in tree.leaf_prims(node) {
                 if prim as usize >= seen.len() {
                     return Err(ValidationError::PrimOutOfRange {
@@ -216,5 +225,17 @@ mod tests {
             validate(&bad),
             Err(ValidationError::BadChildIndex { .. } | ValidationError::NodeCountMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn deferred_leaf_is_rejected() {
+        let m = mesh(4);
+        let bounds = m.bounds();
+        let lazy_top =
+            KdTree::from_raw_parts(m, bounds, vec![crate::PackedNode::deferred(0)], vec![]);
+        assert_eq!(
+            validate(&lazy_top),
+            Err(ValidationError::DeferredLeaf { node: 0 })
+        );
     }
 }

@@ -173,35 +173,6 @@ fn binned_split_method_matches_brute_force() {
     }
 }
 
-/// With `traversal-counters` on, the standard `intersect` path feeds the
-/// process-global totals. Other tests in this binary also traverse, so
-/// only lower bounds are asserted.
-#[cfg(feature = "traversal-counters")]
-#[test]
-fn global_counters_accumulate_ray_work() {
-    use kdtune_kdtree::global_counters;
-    let mesh = soup(200, 21);
-    let tree = build(
-        Arc::clone(&mesh),
-        Algorithm::InPlace,
-        &BuildParams::default(),
-    );
-    let before = global_counters::snapshot();
-    let mut expected = kdtune_kdtree::TraversalCounters::default();
-    let eager = tree.as_eager().expect("in-place builds an eager tree");
-    for ray in rays(64, 22) {
-        let (counted_hit, c) = eager.intersect_counted(&ray, 1e-4, f32::INFINITY);
-        expected = expected.merge(c);
-        let hit = tree.intersect(&ray, 1e-4, f32::INFINITY);
-        assert_eq!(counted_hit.map(|h| h.prim), hit.map(|h| h.prim));
-    }
-    let after = global_counters::snapshot();
-    assert!(after.inner_visited >= before.inner_visited + expected.inner_visited);
-    assert!(after.leaves_visited >= before.leaves_visited + expected.leaves_visited);
-    assert!(after.tris_tested >= before.tris_tested + expected.tris_tested);
-    assert!(expected.weighted_cost(10.0, 17.0) > 0.0);
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
