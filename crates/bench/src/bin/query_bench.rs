@@ -23,7 +23,8 @@
 //! `results/`); pass `--smoke` for a seconds-long CI-sized run.
 
 use kdtune::{
-    build, build_eager, params_from_values, run_query_batch, Algorithm, BuildParams, TunedPipeline,
+    build, build_eager, params_from_values, run_query_batch, Algorithm, BuildParams, RenderOptions,
+    TunedPipeline,
 };
 use kdtune_bench::cli::ExperimentArgs;
 use kdtune_bench::stats::median;
@@ -65,7 +66,7 @@ impl TuneOutcome {
     fn of(
         mut pipeline: TunedPipeline,
         max_steps: usize,
-        cost: impl FnMut(&BuildParams, usize) -> f64,
+        cost: impl FnMut(&BuildParams, &RenderOptions, usize) -> f64,
     ) -> TuneOutcome {
         let (steps, _) = pipeline.run_budget_with(max_steps, cost);
         let tuner = pipeline.tuner();
@@ -203,13 +204,13 @@ fn main() {
         // Every tuner measures frame 0, also on animated scenes.
         let pipeline =
             || TunedPipeline::new(scene.clone(), Algorithm::InPlace).tuner_seed(TUNER_SEED);
-        let render_tuned = TuneOutcome::of(pipeline(), settings.max_steps, |p, _| {
+        let render_tuned = TuneOutcome::of(pipeline(), settings.max_steps, |p, _, _| {
             let t0 = Instant::now();
             let tree = build(mesh.clone(), Algorithm::InPlace, p);
             let _ = render_with(&tree, &mesh, &camera, v.light);
             t0.elapsed().as_secs_f64()
         });
-        let query_cycle = |p: &BuildParams, _: usize| {
+        let query_cycle = |p: &BuildParams, _: &RenderOptions, _: usize| {
             let t0 = Instant::now();
             let tree = build_eager(mesh.clone(), Algorithm::InPlace, p);
             let _ = run_query_batch(&tree, &tune_points, settings.k, radius);

@@ -215,25 +215,28 @@ impl TunedPipeline {
         &self.tuner
     }
 
-    /// Starts a tuner cycle; returns its configuration's build parameters.
-    fn begin_cycle(&mut self) -> BuildParams {
+    /// Starts a tuner cycle; returns its configuration's build parameters
+    /// and render options (the tuner's packet width and threshold, when
+    /// those axes are tuned).
+    fn begin_cycle(&mut self) -> (BuildParams, RenderOptions) {
         self.tuner.start_cycle();
         let config = self.tuner.current().expect("cycle started");
-        params_from_values(self.algorithm, config.values())
+        let params = params_from_values(self.algorithm, config.values());
+        let mut options = self.render_options;
+        if let Some((w, ma)) = self.packet_axes {
+            options.packet_width = self.tuner.get(w) as u32;
+            options.packet_min_active = self.tuner.get(ma) as u32;
+        }
+        (params, options)
     }
 
     /// Runs one tuned frame and advances the animation: the measured cost
     /// is the build plus the render of the next animation frame.
     pub fn step(&mut self) -> FrameReport {
         let mesh = self.scene.frame(self.next_frame_index());
-        let params = self.begin_cycle();
+        let (params, options) = self.begin_cycle();
         let config = self.tuner.current().expect("cycle started").clone();
         let phase = self.tuner.phase();
-        let mut options = self.render_options;
-        if let Some((w, ma)) = self.packet_axes {
-            options.packet_width = self.tuner.get(w) as u32;
-            options.packet_min_active = self.tuner.get(ma) as u32;
-        }
         let frame = timed_frame(
             mesh,
             self.algorithm,
@@ -342,17 +345,19 @@ impl TunedPipeline {
     }
 
     /// [`TunedPipeline::run_budget`] with a measurement the caller
-    /// supplies: each cycle's cost is `measure(params, cycle)`, given the
-    /// cycle's build parameters and its index (the cycles run before it).
-    /// Nothing is rendered; each cycle counts as one step.
+    /// supplies: each cycle's cost is `measure(params, options, cycle)`,
+    /// given the cycle's build parameters, the render options a
+    /// [`TunedPipeline::step`] would render with, and the cycle's index
+    /// (the cycles run before it). Nothing is rendered; each cycle counts
+    /// as one step.
     pub fn run_budget_with(
         &mut self,
         max_steps: usize,
-        mut measure: impl FnMut(&BuildParams, usize) -> f64,
+        mut measure: impl FnMut(&BuildParams, &RenderOptions, usize) -> f64,
     ) -> (usize, StopReason) {
         self.budget(max_steps, |p| {
-            let params = p.begin_cycle();
-            let cost = measure(&params, p.tuner.iterations());
+            let (params, options) = p.begin_cycle();
+            let cost = measure(&params, &options, p.tuner.iterations());
             p.tuner.stop_with(cost);
         })
     }
@@ -436,7 +441,11 @@ impl TunedPipeline {
 mod tests {
     use super::*;
     use crate::StructuralCostModel;
+    use kdtune_geometry::{Hit, Ray, RayPacket};
+    use kdtune_kdtree::{RayQuery, TraversalCounters};
+    use kdtune_raycast::render_with_options;
     use kdtune_scenes::{toasters, wood_doll, SceneParams};
+    use std::sync::Arc;
 
     fn pipeline() -> TunedPipeline {
         TunedPipeline::new(wood_doll(&SceneParams::tiny()), Algorithm::InPlace)
@@ -578,28 +587,108 @@ mod tests {
         let _ = p.tune_packets();
     }
 
+    /// A tree whose scalar queries tally their traversal work; packets
+    /// take the tree's own packet loop, which counts its work in the
+    /// render's [`PacketCounters`].
+    struct Counted<'a> {
+        tree: &'a kdtune_kdtree::KdTree,
+        work: std::sync::Mutex<TraversalCounters>,
+    }
+
+    impl<'a> Counted<'a> {
+        fn new(tree: &'a kdtune_kdtree::KdTree) -> Counted<'a> {
+            Counted {
+                tree,
+                work: Default::default(),
+            }
+        }
+
+        fn add(&self, c: TraversalCounters) {
+            let mut work = self.work.lock().unwrap();
+            *work = work.merge(c);
+        }
+    }
+
+    impl RayQuery for Counted<'_> {
+        fn intersect(&self, ray: &Ray, t_min: f32, t_max: f32) -> Option<Hit> {
+            let (hit, c) = self.tree.intersect_counted(ray, t_min, t_max);
+            self.add(c);
+            hit
+        }
+        fn intersect_any(&self, ray: &Ray, t_min: f32, t_max: f32) -> bool {
+            let (blocked, c) = self.tree.intersect_any_counted(ray, t_min, t_max);
+            self.add(c);
+            blocked
+        }
+        fn intersect_packet<const W: usize>(
+            &self,
+            p: &RayPacket<W>,
+            t_min: f32,
+            min_active: u32,
+            use_frustum: bool,
+            counters: &mut PacketCounters,
+        ) -> [Option<Hit>; W] {
+            self.tree
+                .intersect_packet(p, t_min, min_active, use_frustum, counters)
+        }
+        fn intersect_any_packet<const W: usize>(
+            &self,
+            p: &RayPacket<W>,
+            t_min: f32,
+            min_active: u32,
+            use_frustum: bool,
+            counters: &mut PacketCounters,
+        ) -> u32 {
+            self.tree
+                .intersect_any_packet(p, t_min, min_active, use_frustum, counters)
+        }
+    }
+
     #[test]
     fn tuner_converges_to_wide_packets_on_coherent_frames() {
         // The packet-width integration test: a coherent workload (fairy
         // forest's dense foliage keeps adjacent primary rays on shared
-        // tree paths) at a resolution where ray tracing dominates tree
-        // building, so the `W` axis carries a real cost signal (w=4/8
-        // render ~1.2-1.4x faster than scalar here). Nelder–Mead is
-        // stochastic and frame times are noisy, so accept the first of a
-        // few seeds whose converged best configuration picks a non-scalar
-        // width rather than pinning one seed's walk.
+        // tree paths), tuned on the traversal work of a 128² frame rather
+        // than on wall time, so the walk is exact. A shared packet step
+        // or wide triangle test costs what one scalar step or test does
+        // (`CT`, `CI`); a lane handed to the scalar path costs the
+        // frame's mean scalar ray, which overcharges lanes resumed
+        // mid-traversal.
         use kdtune_scenes::fairy_forest;
-        let found = (1..=4).any(|seed| {
-            let mut p = TunedPipeline::new(fairy_forest(&SceneParams::tiny()), Algorithm::InPlace)
-                .resolution(128, 128)
-                .tune_packets()
-                .tuner_seed(seed);
-            let converged = p.run_until_converged(150);
-            let (best, _) = p.tuner().best().expect("measured configs");
-            // (CI, CB, S, W, MA): W is the fourth axis.
-            converged && best.values()[3] > 1
-        });
-        assert!(found, "no seed converged to a non-scalar packet width");
+        let scene = fairy_forest(&SceneParams::tiny());
+        let mesh = scene.frame(0);
+        let v = scene.view;
+        let camera = Camera::look_at(v.eye, v.target, v.up, v.fov_deg, 128, 128);
+        let (ct, ci) = (10.0, 17.0);
+        let frame_work = |params: &BuildParams, options: &RenderOptions| {
+            let built = kdtune_kdtree::build(Arc::clone(&mesh), Algorithm::InPlace, params);
+            let tree = built.as_eager().expect("in-place builds eager trees");
+            let render = |options: &RenderOptions| {
+                let counted = Counted::new(tree);
+                let (_, stats, packet) =
+                    render_with_options(&counted, &mesh, &camera, v.light, options);
+                let scalar = counted.work.into_inner().unwrap().weighted_cost(ct, ci);
+                (stats, packet, scalar)
+            };
+            let (stats, _, scalar) = render(&RenderOptions::scalar());
+            if !options.uses_packets() {
+                return scalar;
+            }
+            let rays = (stats.primary_rays + stats.shadow_rays) as f64;
+            let (_, packet, remainder) = render(options);
+            remainder
+                + ct as f64 * packet.node_steps as f64
+                + ci as f64 * packet.tri_tests as f64
+                + packet.scalar_fallback_lanes as f64 * scalar / rays
+        };
+        let mut p = TunedPipeline::new(scene.clone(), Algorithm::InPlace)
+            .tune_packets()
+            .tuner_seed(1);
+        let (_, reason) = p.run_budget_with(150, |params, options, _| frame_work(params, options));
+        let (best, _) = p.tuner().best().expect("measured configs");
+        assert_eq!(reason, StopReason::Converged);
+        // (CI, CB, S, W, MA): W is the fourth axis.
+        assert!(best.values()[3] > 1, "best {best}");
     }
 
     #[test]
@@ -662,7 +751,7 @@ mod tests {
                 p = p.tune_packets();
             }
             let mut cycles = Vec::new();
-            let (steps, reason) = p.run_budget_with(400, |params, cycle| {
+            let (steps, reason) = p.run_budget_with(400, |params, _, cycle| {
                 cycles.push(cycle);
                 model.frame_cost(&mesh, algorithm, params)
             });

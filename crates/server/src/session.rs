@@ -212,7 +212,7 @@ impl Session {
         let algo = self.spec.algo;
         let (steps_run, reason) = match &self.query {
             None => self.pipeline.run_budget(steps),
-            Some(target) => self.pipeline.run_budget_with(steps, |params, cycle| {
+            Some(target) => self.pipeline.run_budget_with(steps, |params, _, cycle| {
                 let t0 = Instant::now();
                 let tree = build_eager(Arc::clone(&target.mesh), algo, params);
                 // Decorrelate batches across cycles while staying replayable.
