@@ -149,7 +149,7 @@ impl BuildParams {
 
     /// Recursion depth down to which subtree tasks are spawned, so the
     /// task count reaches roughly `threads · S`.
-    fn task_depth(&self) -> u32 {
+    pub(crate) fn task_depth(&self) -> u32 {
         let tasks = (rayon::current_num_threads() as u64) * u64::from(self.s.max(1));
         // ceil(log2(tasks)): 2^depth leaves of the task tree.
         (64 - tasks.next_power_of_two().leading_zeros() - 1).min(24)

@@ -5,23 +5,41 @@
 //! any other, except that each deferred node is a deferred leaf naming
 //! its slot in the tree's deferred table. Rays walk the top part with the
 //! eager traversal loops ([`crate::traverse`]); the first ray to reach a
-//! deferred leaf expands it. Expansion is guarded per node (the paper
-//! uses an OpenMP critical section; we use a `parking_lot::RwLock` so
-//! already-expanded nodes are read-shared across rendering threads).
+//! deferred leaf expands it.
+//!
+//! The paper guards each expansion with an OpenMP critical section. Here
+//! the first thread to reach a deferred node claims it and builds its
+//! subtree with the NodeLevel fan-out over the whole pool; the subtree is
+//! then published once, so every later visit costs one acquire load. A
+//! thread that reaches a node another thread is expanding does not sleep:
+//! it runs pending jobs of its pool ([`rayon::yield_now`]), which are
+//! mostly that expansion's own subtree tasks, until the node is published.
+//! This cannot deadlock: an expansion never reaches a deferred node and
+//! holds no lock across a `join`, so the claimant and every pool thread
+//! it waits for keep making progress (see DESIGN.md §1).
 
 use crate::build::{build_recursive, BuildCtx, BuildParams, DeferredPrims, NodePrims};
 use crate::traverse::{any, nearest, Gathered, LeafTest};
 use crate::tree::{flatten, flatten_build, KdTree, NodeKind, Open, PackedNode};
 use kdtune_geometry::{Aabb, Hit, Ray, TriangleMesh};
-use parking_lot::RwLock;
-use std::sync::Arc;
+use kdtune_telemetry as telemetry;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// One slot of the deferred table: a deferred node's primitives and
 /// bounds, and its subtree once a ray has expanded it.
 struct DeferredNode {
     prims: Vec<u32>,
     bounds: Aabb,
-    expanded: RwLock<Option<Arc<KdTree>>>,
+    /// The subtree, set once by the thread holding the claim.
+    subtree: OnceLock<KdTree>,
+    /// Held by the one thread building `subtree`; released if that build
+    /// panics, so a waiter claims the node and retries. Taken with Acquire
+    /// and given up with Release, like a lock; the subtree itself is
+    /// published through `subtree`.
+    claimed: AtomicBool,
+    /// Pool jobs that threads waiting for `subtree` ran meanwhile.
+    helped: AtomicU64,
 }
 
 /// A kD-tree whose lower levels materialize on first ray contact.
@@ -46,7 +64,9 @@ impl LazyKdTree {
             .map(|(prims, bounds)| DeferredNode {
                 prims,
                 bounds,
-                expanded: RwLock::new(None),
+                subtree: OnceLock::new(),
+                claimed: AtomicBool::new(false),
+                helped: AtomicU64::new(0),
             })
             .collect();
         LazyKdTree {
@@ -80,7 +100,7 @@ impl LazyKdTree {
     pub fn expanded_count(&self) -> usize {
         self.deferred
             .iter()
-            .filter(|d| d.expanded.read().is_some())
+            .filter(|d| d.subtree.get().is_some())
             .count()
     }
 
@@ -92,7 +112,7 @@ impl LazyKdTree {
         let expansions: usize = self
             .deferred
             .iter()
-            .map(|d| d.expanded.read().as_ref().map_or(1, |t| t.node_count()))
+            .map(|d| d.subtree.get().map_or(1, |t| t.node_count()))
             .sum();
         self.top.node_count() - self.deferred.len() + expansions
     }
@@ -109,16 +129,59 @@ impl LazyKdTree {
         }
     }
 
-    /// Expands a deferred node (or returns the already-built subtree).
-    fn expand(&self, d: &DeferredNode) -> Arc<KdTree> {
-        if let Some(t) = d.expanded.read().as_ref() {
-            return Arc::clone(t);
+    /// A deferred node's subtree, expanding it on first contact.
+    fn expand<'a>(&self, d: &'a DeferredNode) -> &'a KdTree {
+        match d.subtree.get() {
+            Some(tree) => tree,
+            None => self.expand_or_help(d),
         }
-        let mut guard = d.expanded.write();
-        if let Some(t) = guard.as_ref() {
-            // Another thread expanded while we waited for the write lock.
-            return Arc::clone(t);
+    }
+
+    /// Claims and builds `d`'s subtree, or, while another thread builds
+    /// it, runs pending pool jobs until it is published.
+    #[cold]
+    fn expand_or_help<'a>(&self, d: &'a DeferredNode) -> &'a KdTree {
+        /// Releases the claim if the build unwinds.
+        struct Claim<'a>(&'a AtomicBool);
+        impl Drop for Claim<'_> {
+            fn drop(&mut self) {
+                self.0.store(false, Ordering::Release);
+            }
         }
+
+        loop {
+            if let Some(tree) = d.subtree.get() {
+                return tree;
+            }
+            if !d.claimed.load(Ordering::Relaxed)
+                && d.claimed
+                    .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
+                    .is_ok()
+            {
+                let claim = Claim(&d.claimed);
+                let mut span = telemetry::span("kdtree.lazy.expand").field("prims", d.prims.len());
+                let tree = self.build_subtree(d);
+                if span.is_active() {
+                    span.add_field("nodes", tree.node_count());
+                    span.add_field("helped_jobs", d.helped.load(Ordering::Relaxed));
+                }
+                telemetry::counter("kdtree.lazy.expansions").incr();
+                // Published for good: the claim is never released.
+                std::mem::forget(claim);
+                return d.subtree.get_or_init(|| tree);
+            }
+            match rayon::yield_now() {
+                Some(rayon::Yield::Executed) => {
+                    d.helped.fetch_add(1, Ordering::Relaxed);
+                }
+                _ => std::thread::yield_now(),
+            }
+        }
+    }
+
+    /// Builds a deferred node's subtree with the NodeLevel recursion,
+    /// fanned out to `threads · S` tasks as [`crate::build()`] does.
+    fn build_subtree(&self, d: &DeferredNode) -> KdTree {
         let mesh = self.mesh();
         let local_bounds: Vec<Aabb> = d
             .prims
@@ -129,7 +192,7 @@ impl LazyKdTree {
             bounds: &local_bounds,
             sah: self.params.sah,
             max_depth: self.params.effective_max_depth(d.prims.len()),
-            task_depth: 0,
+            task_depth: self.params.task_depth(),
             // Large deferred subtrees (R can reach 8192, or the whole tree
             // for a degenerate R) still classify in parallel; the output
             // is identical to the sequential path.
@@ -145,14 +208,7 @@ impl LazyKdTree {
         for p in &mut prims {
             *p = d.prims[*p as usize];
         }
-        let tree = Arc::new(KdTree::from_raw_parts(
-            Arc::clone(mesh),
-            d.bounds,
-            nodes,
-            prims,
-        ));
-        *guard = Some(Arc::clone(&tree));
-        tree
+        KdTree::from_raw_parts(Arc::clone(mesh), d.bounds, nodes, prims)
     }
 
     /// Materializes the whole tree as an eager [`KdTree`], expanding every
@@ -161,12 +217,12 @@ impl LazyKdTree {
     /// identical; the packed result can feed the KDT2 serializer
     /// ([`crate::io`]), which lazy trees themselves cannot.
     pub fn to_eager(&self) -> KdTree {
-        let subtrees: Vec<Arc<KdTree>> = self.deferred.iter().map(|d| self.expand(d)).collect();
+        let subtrees: Vec<&KdTree> = self.deferred.iter().map(|d| self.expand(d)).collect();
         let capacity = self.total_node_count();
         // Walk the top part, entering each deferred leaf's subtree instead.
         let (nodes, prims) = flatten((&self.top, 0), capacity, &mut |(tree, idx)| {
             let (tree, idx) = match tree.nodes()[idx as usize].deferred_slot() {
-                Some(slot) => (&*subtrees[slot as usize], 0),
+                Some(slot) => (subtrees[slot as usize], 0),
                 None => (tree, idx),
             };
             let node = tree.nodes()[idx as usize];
@@ -419,6 +475,59 @@ mod tests {
             );
         }
         assert_eq!(lazy.expanded_count(), 1, "one root expansion serves all");
+    }
+
+    /// A whole-deferral tree of the tiny Sibenik whose one deferred node
+    /// names a primitive past the mesh's end, so expanding it panics.
+    fn poisoned_tree() -> (LazyKdTree, Ray) {
+        let mut lazy = lazy_tree(u32::MAX);
+        let past_end = lazy.mesh().len() as u32;
+        lazy.deferred[0].prims.push(past_end);
+        (lazy, Ray::new(Vec3::new(-15.0, 4.0, 0.0), Vec3::X))
+    }
+
+    #[test]
+    fn panicking_expansion_releases_its_claim() {
+        let (lazy, ray) = poisoned_tree();
+        for attempt in 0..2 {
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                lazy.intersect(&ray, 0.0, f32::INFINITY)
+            }));
+            assert!(
+                caught.is_err(),
+                "attempt {attempt}: the panic must reach the caller"
+            );
+            assert!(!lazy.deferred[0].claimed.load(Ordering::Acquire));
+            assert_eq!(lazy.expanded_count(), 0);
+        }
+    }
+
+    #[test]
+    fn waiter_takes_over_a_released_claim_and_its_panic_reaches_the_installer() {
+        // The node is claimed before the waiter arrives. The claimant
+        // gives up, as a panicking build does when its claim is released
+        // on unwind; here that release is the join's queued right side,
+        // which the waiting left side can run itself while it helps. The
+        // waiter then claims the node, its own build panics, and the join
+        // hands the panic to the installer.
+        let (lazy, ray) = poisoned_tree();
+        let claimed = &lazy.deferred[0].claimed;
+        claimed.store(true, Ordering::Release);
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(2)
+            .build()
+            .unwrap();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool.install(|| {
+                rayon::join(
+                    || lazy.intersect(&ray, 0.0, f32::INFINITY),
+                    || claimed.store(false, Ordering::Release),
+                )
+            })
+        }));
+        assert!(caught.is_err());
+        assert!(!claimed.load(Ordering::Acquire));
+        assert_eq!(lazy.expanded_count(), 0);
     }
 
     #[test]

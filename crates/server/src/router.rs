@@ -1054,7 +1054,9 @@ fn sum_numeric_objects<'a>(objects: impl Iterator<Item = &'a JsonValue>) -> Json
         if let JsonValue::Object(map) = obj {
             for (k, v) in map {
                 if let Some(n) = v.as_u64() {
-                    *sums.entry(k.clone()).or_default() += n;
+                    // Shard-supplied values saturate rather than overflow.
+                    let sum = sums.entry(k.clone()).or_default();
+                    *sum = sum.saturating_add(n);
                 }
             }
         }
@@ -1269,6 +1271,13 @@ mod tests {
         assert_eq!(sum.get("busy").unwrap().as_u64(), Some(1));
         assert_eq!(sum.get("renders").unwrap().as_u64(), Some(2));
         assert!(sum.get("addr").is_none(), "non-numeric fields dropped");
+    }
+
+    #[test]
+    fn sum_numeric_objects_saturates_at_u64_max() {
+        let huge = JsonValue::Object([("ok".to_string(), JsonValue::Int(i64::MAX))].into());
+        let sum = sum_numeric_objects([&huge, &huge, &huge].into_iter());
+        assert_eq!(sum.get("ok"), Some(&JsonValue::from(u64::MAX)));
     }
 
     #[test]

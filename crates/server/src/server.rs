@@ -799,7 +799,6 @@ fn handle_render(
     };
     let tuned = values.is_some();
     let frame = frame % scene.frame_count().max(1);
-    let mesh = scene.frame(frame);
     let view = scene.view;
     let camera = Camera::look_at(
         view.eye,
@@ -812,9 +811,10 @@ fn handle_render(
     let options = RenderOptions::scalar().with_packet_width(spec.packet_width);
 
     let build_started = Instant::now();
-    let (cache, tree, build_secs) = if spec.algo == Algorithm::Lazy {
+    if spec.algo == Algorithm::Lazy {
         // Lazy trees expand on demand per ray distribution; sharing one
         // across requests would leak expansion state, so bypass the cache.
+        let mesh = scene.frame(frame);
         let built = build(Arc::clone(&mesh), spec.algo, &params);
         let build_secs = build_started.elapsed().as_secs_f64();
         let BuiltTree::Lazy(lazy) = built else {
@@ -839,31 +839,28 @@ fn handle_render(
             render_secs,
             &stats,
         ));
-    } else {
-        let key = cache_key(spec, frame, &params);
-        let (tree, hit) = state.cache.get_or_build(&key, || {
-            match build(Arc::clone(&mesh), spec.algo, &params) {
-                BuiltTree::Eager(tree) => Arc::new(tree),
-                BuiltTree::Lazy(_) => unreachable!("eager algorithm produced a lazy tree"),
-            }
-        });
-        (
-            if hit { "hit" } else { "miss" },
-            tree,
-            build_started.elapsed().as_secs_f64(),
-        )
-    };
+    }
+    // The key names the scene, scale and frame, so a cached tree indexes
+    // this frame's mesh: only a miss generates it.
+    let key = cache_key(spec, frame, &params);
+    let (tree, hit) = state.cache.get_or_build(&key, || {
+        match build(scene.frame(frame), spec.algo, &params) {
+            BuiltTree::Eager(tree) => Arc::new(tree),
+            BuiltTree::Lazy(_) => unreachable!("eager algorithm produced a lazy tree"),
+        }
+    });
+    let build_secs = build_started.elapsed().as_secs_f64();
 
     trace.stage("build", (build_secs * 1e6) as u64);
     let render_started = Instant::now();
     let (_fb, stats, _packets) =
-        render_with_options(tree.as_ref(), &mesh, &camera, view.light, &options);
+        render_with_options(tree.as_ref(), tree.mesh(), &camera, view.light, &options);
     let render_secs = render_started.elapsed().as_secs_f64();
     trace.stage("render", (render_secs * 1e6) as u64);
     Ok(render_result(
         spec,
         frame,
-        cache,
+        if hit { "hit" } else { "miss" },
         tuned,
         &values,
         build_secs,

@@ -525,6 +525,31 @@ mod tests {
     }
 
     #[test]
+    fn stored_config_of_the_wrong_length_starts_the_session_cold() {
+        // Two values for an in_place key, whose space has three (CI, CB,
+        // S): seeding the tuner with them panicked its first cycle.
+        let path = std::env::temp_dir().join(format!(
+            "kdtune-session-short-config-{}.jsonl",
+            std::process::id()
+        ));
+        let line = format!(
+            r#"{{"version":1,"scene":"wood_doll","algo":"in_place","workload":"render","threads":{},"host":{:?},"res":16,"config":[21,11],"cost":0.001,"steps":9}}"#,
+            rayon::current_num_threads().max(1),
+            crate::store::hostname(),
+        );
+        std::fs::write(&path, line + "\n").unwrap();
+        let store = Arc::new(ConfigStore::open(&path).unwrap());
+        assert_eq!(store.len(), 1, "the line itself parses");
+        let manager = SessionManager::new(store);
+        let session = manager.get_or_create(&spec("wood_doll")).unwrap();
+        let mut session = session.lock();
+        assert!(!session.warm_started());
+        session.tune(1, manager.store());
+        assert_eq!(session.steps_taken(), 1);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn render_and_query_sessions_are_isolated() {
         let manager = SessionManager::new(Arc::new(temp_store("isolated")));
         let _render = manager.get_or_create(&spec("wood_doll")).unwrap();

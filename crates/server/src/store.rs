@@ -14,7 +14,8 @@
 //! load so a partially-written trailing line after a crash cannot brick
 //! the store.
 
-use kdtune::Algorithm;
+use kdtune::{tuning_space, Algorithm};
+use kdtune_telemetry as telemetry;
 use kdtune_telemetry::json::{self, JsonValue};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -130,7 +131,10 @@ impl ConfigStore {
     }
 
     /// Best stored config for `scene` + `algorithm` + `workload` under
-    /// the *current* pool width and host, if any.
+    /// the *current* pool width and host, if any. An entry whose `config`
+    /// does not have one value per axis of the algorithm's tuning space
+    /// cannot seed a tuner: it is skipped (and counted on
+    /// `server.store.rejected`), so the session tunes cold.
     pub fn lookup_workload(
         &self,
         scene: &str,
@@ -144,7 +148,12 @@ impl ConfigStore {
             rayon::current_num_threads().max(1),
             &self.host,
         );
-        self.best.lock().get(&key).cloned()
+        let stored = self.best.lock().get(&key).cloned()?;
+        if stored.values.len() != tuning_space(algorithm).dim() {
+            telemetry::counter("server.store.rejected").incr();
+            return None;
+        }
+        Some(stored)
     }
 
     /// Records a converged result under a workload axis. Appends to the

@@ -137,7 +137,7 @@ impl Histogram {
             if c == 0 {
                 continue;
             }
-            if seen + c >= rank {
+            if seen.saturating_add(c) >= rank {
                 let value = if i == 0 {
                     0 // underflow bucket: < 1µs
                 } else if i >= NUM_BUCKETS {
@@ -158,7 +158,7 @@ impl Histogram {
                 // Never report outside the observed range.
                 return value.clamp(self.min_us, self.max_us);
             }
-            seen += c;
+            seen = seen.saturating_add(c);
         }
         self.max_us
     }
@@ -186,12 +186,13 @@ impl Histogram {
         self.max_us = 0;
     }
 
-    /// Merges another histogram into this one.
+    /// Merges another histogram into this one. Counts saturate: a
+    /// shard's reply may carry any value.
     pub fn merge(&mut self, other: &Histogram) {
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
+            *a = a.saturating_add(*b);
         }
-        self.count += other.count;
+        self.count = self.count.saturating_add(other.count);
         self.sum_us = self.sum_us.saturating_add(other.sum_us);
         self.min_us = self.min_us.min(other.min_us);
         self.max_us = self.max_us.max(other.max_us);
@@ -544,6 +545,23 @@ mod tests {
         let mut merged = restored;
         merged.record_us(42);
         assert_eq!(merged.min_us(), 42);
+    }
+
+    #[test]
+    fn merge_saturates_counts_at_u64_max() {
+        let mut a = Histogram::new();
+        a.record_us(50);
+        a.count = u64::MAX;
+        a.counts[bucket_index(50)] = u64::MAX;
+        let mut b = Histogram::new();
+        b.record_us(50);
+        b.record_us(5000);
+        a.merge(&b);
+        assert_eq!(a.count(), u64::MAX);
+        assert_eq!(a.counts[bucket_index(50)], u64::MAX);
+        // Quantiles over the saturated counts stay in the observed range.
+        let p = a.percentile_us(1.0);
+        assert!((a.min_us()..=a.max_us()).contains(&p), "{p}");
     }
 
     #[test]

@@ -639,24 +639,29 @@ impl MergedMetrics {
             let Some(n) = v.as_u64().or_else(|| v.as_f64().map(|f| f.max(0.0) as u64)) else {
                 continue;
             };
-            *self.counters.entry(key.clone()).or_default() += n;
+            // Shard-supplied values saturate rather than overflow.
+            let sum = self.counters.entry(key.clone()).or_default();
+            *sum = sum.saturating_add(n);
             if let Some(extra) = &extra {
                 let (name, body) = split_key(key);
-                *self
+                let sum = self
                     .counters
                     .entry(render_key(name, body, "", extra))
-                    .or_default() += n;
+                    .or_default();
+                *sum = sum.saturating_add(n);
             }
         }
         for (key, v) in gauges {
             let Some(n) = v.as_i64() else { continue };
-            *self.gauges.entry(key.clone()).or_default() += n;
+            let sum = self.gauges.entry(key.clone()).or_default();
+            *sum = sum.saturating_add(n);
             if let Some(extra) = &extra {
                 let (name, body) = split_key(key);
-                *self
+                let sum = self
                     .gauges
                     .entry(render_key(name, body, "", extra))
-                    .or_default() += n;
+                    .or_default();
+                *sum = sum.saturating_add(n);
             }
         }
         for (key, windows) in histograms {
@@ -1346,6 +1351,26 @@ mod tests {
                 .as_u64(),
             Some(3)
         );
+    }
+
+    #[test]
+    fn merged_metrics_saturates_shard_sums() {
+        // 2^64 as a float (the JSON of a counter at u64::MAX) reads back
+        // as u64::MAX; two shards' worth must not overflow.
+        let snap = crate::json::parse(&format!(
+            r#"{{"counters":{{"c_total":{:?}}},"gauges":{{"g":{}}},"histograms":{{}}}}"#,
+            u64::MAX as f64,
+            i64::MAX
+        ))
+        .unwrap();
+        let mut merged = MergedMetrics::new();
+        assert!(merged.add_snapshot(Some("0"), &snap));
+        assert!(merged.add_snapshot(Some("1"), &snap));
+        let out = merged.snapshot_json();
+        let counter = out.get("counters").unwrap().get("c_total").unwrap();
+        assert_eq!(counter, &JsonValue::from(u64::MAX));
+        let gauge = out.get("gauges").unwrap().get("g").unwrap();
+        assert_eq!(gauge.as_i64(), Some(i64::MAX));
     }
 
     #[test]

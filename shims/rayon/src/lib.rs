@@ -8,16 +8,19 @@
 //! call site is order-preserving by construction) while [`join`] overlaps
 //! its two closures on a persistent worker pool, mirroring real rayon's
 //! protocol: the right side is published to the pool, the left runs
-//! inline, and the caller either claims the right side back (if no worker
-//! picked it up) or waits for the worker actively running it. Waits only
+//! inline, and the caller either claims the right side back (if nobody
+//! started it) or waits for the thread actively running it. Waits only
 //! ever target actively-executing work, so the scheme cannot deadlock, and
-//! a pool of width 1 runs everything on the calling thread.
+//! a pool of width 1 runs everything on the calling thread. A thread that
+//! waits for something else another pool thread is doing can run the
+//! pool's queued jobs meanwhile through [`yield_now`].
 //!
 //! As in real rayon, a panic in either closure propagates to the `join`
-//! caller (a worker catches the unwind and hands the payload back), and an
-//! installed pool width `N` is a hard concurrency cap: each pool carries a
-//! budget of `N - 1` extra-thread permits, and a worker that cannot take a
-//! permit leaves the job for the submitting thread to run inline.
+//! caller (the thread that ran it catches the unwind and hands the payload
+//! back), and an installed pool width `N` is a hard concurrency cap: each
+//! pool carries a budget of `N - 1` extra-thread permits, and a worker
+//! that cannot take a permit leaves the job queued for a helper or the
+//! submitting thread to run.
 
 #![deny(unsafe_code)]
 
@@ -179,6 +182,32 @@ where
     pool::join_via_pool(a, b)
 }
 
+/// What [`yield_now`] did, mirroring `rayon::Yield`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Yield {
+    /// A pending job of the current pool was run to completion.
+    Executed,
+    /// The current pool had no pending job.
+    Idle,
+}
+
+/// Runs one pending job of the current thread's pool, if there is one,
+/// mirroring `rayon::yield_now`: a thread waiting for something another
+/// pool thread is working on can lend a hand instead of sleeping.
+///
+/// Only jobs of the caller's own pool qualify, and the caller runs them
+/// without taking a permit: it already counts against that pool's width,
+/// so the width stays a hard cap. Unlike real rayon (which returns `None`
+/// off-pool) this always returns `Some`, because every thread here runs
+/// under a pool: its installed one, else the global one.
+pub fn yield_now() -> Option<Yield> {
+    Some(if pool::help(&current_ctx()) {
+        Yield::Executed
+    } else {
+        Yield::Idle
+    })
+}
+
 #[allow(unsafe_code)]
 mod pool {
     //! Persistent worker pool behind [`crate::join`].
@@ -186,47 +215,85 @@ mod pool {
     //! Forking a fresh OS thread per `join` costs close to a millisecond
     //! on sandboxed kernels, which silently erases the gain of every
     //! fine-grained fork. The pool keeps `available_parallelism - 1`
-    //! long-lived workers fed through a channel instead.
+    //! long-lived workers fed from one shared queue instead.
+    //!
+    //! The queue holds exactly the jobs nobody has started: a worker with
+    //! a permit of the job's pool, a helper in [`crate::yield_now`] or the
+    //! submitter itself removes a job under the queue lock before running
+    //! it, so each job runs at most once, and a job a worker cannot take
+    //! stays visible to helpers and to its submitter.
     //!
     //! Safety protocol: a submitted job holds a lifetime-erased closure
-    //! that writes `b`'s result through a raw pointer into the
-    //! submitting `join` frame. The state machine under the job's mutex
-    //! guarantees the closure runs at most once, and that the frame
-    //! outlives any access: `join` exits (returns or unwinds) only after
-    //! the job is `ClaimedBack` (closure retrieved and run inline) or a
-    //! worker finished it (`Done`, or `Panicked` with the payload handed
-    //! back for re-raising), and workers never touch a job they did not
-    //! transition out of `Pending` themselves.
+    //! that writes `b`'s result through a raw pointer into the submitting
+    //! `join` frame. `join` exits (returns or unwinds) only after it took
+    //! the closure back out of the queue (and ran or dropped it), or after
+    //! the thread that took it marked the job `Done` or `Panicked` (with
+    //! the payload handed back for re-raising).
 
-    use super::{current_ctx, PoolCtx, POOL_CTX};
-    use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
+    use super::{PoolCtx, POOL_CTX};
+    use std::collections::VecDeque;
+    use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, OnceLock};
 
     enum State {
-        /// Submitted; holds the work. Whoever swaps this out runs it.
-        Pending(Box<dyn FnOnce() + Send>),
-        /// A worker is actively executing the closure.
-        Running,
-        /// The worker finished; the result is in the join frame.
+        /// Queued or running.
+        Busy,
+        /// The closure finished; the result is in the join frame.
         Done,
-        /// The worker's closure panicked; the payload awaits the
-        /// submitter, which re-raises it on its own thread.
+        /// The closure panicked; the payload awaits the submitter, which
+        /// re-raises it on its own thread.
         Panicked(Box<dyn std::any::Any + Send>),
-        /// The submitter took the closure back to run it inline.
-        ClaimedBack,
     }
 
+    /// A job's completion, shared by its submitter and whichever thread
+    /// runs it.
     struct Job {
         state: Mutex<State>,
         cv: Condvar,
+    }
+
+    /// A job nobody has started yet.
+    struct Queued {
+        job: Arc<Job>,
+        run: Box<dyn FnOnce() + Send>,
         /// Pool context (width + concurrency budget) of the submitting
-        /// thread, inherited by whichever worker runs the job.
+        /// thread, inherited by whichever thread runs the job.
         ctx: PoolCtx,
     }
 
-    fn queue() -> &'static mpsc::Sender<Arc<Job>> {
-        static QUEUE: OnceLock<mpsc::Sender<Arc<Job>>> = OnceLock::new();
-        QUEUE.get_or_init(|| {
-            let (tx, rx) = mpsc::channel::<Arc<Job>>();
+    /// Every job nobody has started, oldest first.
+    static QUEUE: Mutex<VecDeque<Queued>> = Mutex::new(VecDeque::new());
+
+    fn queue() -> MutexGuard<'static, VecDeque<Queued>> {
+        QUEUE.lock().expect("queue lock")
+    }
+
+    /// Takes the submitter's own job back, if nobody started it. It was
+    /// queued after every job its `a` side submitted, and those are all
+    /// finished, so it is most likely at the back.
+    fn reclaim(job: &Arc<Job>) -> Option<Queued> {
+        let mut jobs = queue();
+        let i = jobs.iter().rposition(|q| Arc::ptr_eq(&q.job, job))?;
+        jobs.remove(i)
+    }
+
+    /// Removes the oldest queued job that `admit` accepts: the largest
+    /// pending piece of a fork tree, as a rayon thief takes.
+    fn take_oldest(
+        jobs: &mut VecDeque<Queued>,
+        mut admit: impl FnMut(&PoolCtx) -> bool,
+    ) -> Option<Queued> {
+        let i = jobs.iter().position(|q| admit(&q.ctx))?;
+        jobs.remove(i)
+    }
+
+    /// Queues a job and rings the workers' doorbell. The doorbell channel
+    /// carries no jobs, only wake-ups: its receive spins briefly before
+    /// it parks, and a send wakes only a parked receiver, so a fork that
+    /// finds the workers busy costs no system call.
+    fn submit(queued: Queued) {
+        static DOORBELL: OnceLock<mpsc::Sender<()>> = OnceLock::new();
+        let doorbell = DOORBELL.get_or_init(|| {
+            let (tx, rx) = mpsc::channel();
             let rx = Arc::new(Mutex::new(rx));
             let workers = std::thread::available_parallelism()
                 .map(|n| n.get())
@@ -237,65 +304,89 @@ mod pool {
                 let rx = Arc::clone(&rx);
                 std::thread::Builder::new()
                     .name("rayon-shim-worker".into())
-                    .spawn(move || loop {
-                        let job = match rx.lock().expect("queue lock").recv() {
-                            Ok(job) => job,
-                            Err(_) => return,
-                        };
-                        let f = {
-                            let mut st = job.state.lock().expect("job lock");
-                            match &*st {
-                                // Take the job only if its pool has a free
-                                // extra-thread permit; otherwise leave it
-                                // Pending for the submitter to reclaim, so
-                                // an installed width stays a hard cap on
-                                // concurrency rather than a heuristic.
-                                State::Pending(_) if job.ctx.budget.try_acquire() => {
-                                    match std::mem::replace(&mut *st, State::Running) {
-                                        State::Pending(f) => f,
-                                        _ => unreachable!("state checked under the same lock"),
-                                    }
-                                }
-                                // Claimed back by the submitter, or the
-                                // pool is already at width; never touch
-                                // the job again.
-                                _ => continue,
-                            }
-                        };
-                        POOL_CTX.with(|c| *c.borrow_mut() = Some(job.ctx.clone()));
-                        // Catch panics so a failed assertion in pool-run
-                        // build code surfaces at the `join` call site
-                        // (like real rayon) instead of deadlocking the
-                        // submitter and killing this worker.
-                        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
-                        POOL_CTX.with(|c| *c.borrow_mut() = None);
-                        {
-                            let mut st = job.state.lock().expect("job lock");
-                            *st = match result {
-                                Ok(()) => State::Done,
-                                Err(payload) => State::Panicked(payload),
-                            };
-                            job.cv.notify_all();
-                        }
-                        job.ctx.budget.release();
-                    })
+                    .spawn(move || worker(&rx))
                     .expect("spawn rayon-shim worker");
             }
             tx
-        })
+        });
+        queue().push_back(queued);
+        doorbell
+            .send(())
+            .expect("rayon-shim workers run for the whole process");
+    }
+
+    fn worker(doorbell: &Mutex<mpsc::Receiver<()>>) {
+        loop {
+            // Take a job only with a free extra-thread permit of its pool,
+            // so an installed width stays a hard cap on concurrency rather
+            // than a heuristic. A job no worker may take stays queued for
+            // a helper or its submitter; the permit holder that frees a
+            // permit looks again before it sleeps.
+            let taken = take_oldest(&mut queue(), |ctx| ctx.budget.try_acquire());
+            match taken {
+                Some(queued) => {
+                    let budget = Arc::clone(&queued.ctx.budget);
+                    run(queued);
+                    budget.release();
+                }
+                // Every submission rings once, so a ring that finds its
+                // job already taken costs one more look at the queue.
+                None => {
+                    let ring = doorbell.lock().expect("doorbell lock").recv();
+                    ring.expect("the doorbell sender lives in a static");
+                }
+            }
+        }
+    }
+
+    /// Runs a job taken off the queue under its submitter's pool context
+    /// and publishes the outcome. A panic is caught and handed to the
+    /// submitter, so a failed assertion in pool-run build code surfaces at
+    /// the `join` call site (like real rayon) instead of deadlocking the
+    /// submitter or killing the thread that ran it.
+    fn run(Queued { job, run, ctx }: Queued) {
+        let prev = POOL_CTX.with(|c| c.borrow_mut().replace(ctx));
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run));
+        POOL_CTX.with(|c| *c.borrow_mut() = prev);
+        let mut st = job.state.lock().expect("job lock");
+        *st = match result {
+            Ok(()) => State::Done,
+            Err(payload) => State::Panicked(payload),
+        };
+        job.cv.notify_all();
+    }
+
+    /// Runs the oldest queued job of `ctx`'s pool on the calling thread;
+    /// `false` when there is none. See [`crate::yield_now`].
+    pub(crate) fn help(ctx: &PoolCtx) -> bool {
+        let own = |c: &PoolCtx| Arc::ptr_eq(&c.budget, &ctx.budget);
+        let Some(queued) = take_oldest(&mut queue(), own) else {
+            return false;
+        };
+        run(queued);
+        true
+    }
+
+    /// Blocks until whoever took `job` off the queue has finished it.
+    fn wait(job: &Job) -> State {
+        let mut st = job.state.lock().expect("job lock");
+        while matches!(*st, State::Busy) {
+            st = job.cv.wait(st).expect("job lock");
+        }
+        std::mem::replace(&mut *st, State::Done)
     }
 
     /// Raw pointer wrapper so the result slot can cross into the closure.
     struct SendPtr<T>(*mut T);
-    // SAFETY: the pointee lives in the `join` frame, and the state
-    // machine guarantees exclusive access (the closure runs at most once,
-    // on exactly one thread).
+    // SAFETY: the pointee lives in the `join` frame, and the protocol
+    // guarantees exclusive access (the closure runs at most once, on
+    // exactly one thread).
     unsafe impl<T> Send for SendPtr<T> {}
 
-    /// Unwind guard: if the inline side panics while the stolen side is
-    /// still pending or running, the submitting frame must not unwind
-    /// away underneath it — reclaim (and drop) a pending closure, or
-    /// block until an active worker finishes, before the frame dies.
+    /// Unwind guard: if the inline side panics while the published side
+    /// is still queued or running, the submitting frame must not unwind
+    /// away underneath it — take back (and drop) a queued closure, or
+    /// block until the thread running it finishes, before the frame dies.
     struct FrameGuard {
         job: Arc<Job>,
         armed: bool,
@@ -306,24 +397,14 @@ mod pool {
             if !self.armed {
                 return;
             }
-            let mut st = self.job.state.lock().expect("job lock");
-            match std::mem::replace(&mut *st, State::ClaimedBack) {
+            match reclaim(&self.job) {
                 // Never started: drop the closure (and `b`) while the
                 // frame is still alive.
-                State::Pending(f) => {
-                    drop(st);
-                    drop(f);
-                }
-                State::Running => {
-                    *st = State::Running;
-                    while matches!(*st, State::Running) {
-                        st = self.job.cv.wait(st).expect("job lock");
-                    }
-                    // This frame is already unwinding (the inline side
-                    // panicked); if the stolen side *also* panicked, its
-                    // payload is dropped here — the first panic wins.
-                }
-                other => *st = other,
+                Some(queued) => drop(queued),
+                // This frame is already unwinding (the inline side
+                // panicked); if the published side *also* panicked, its
+                // payload is dropped here — the first panic wins.
+                None => drop(wait(&self.job)),
             }
         }
     }
@@ -343,17 +424,20 @@ mod pool {
             // because `join_via_pool` has not returned.
             unsafe { *slot.0 = Some(b()) };
         });
-        // SAFETY: lifetime erasure only. The state machine (plus the
-        // unwind guard) ensures the closure cannot run, or be dropped,
-        // after this frame ends: every exit path — including a panic in
-        // `a` — first moves the job to `ClaimedBack` or observes `Done`.
-        let closure: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(closure) };
+        // SAFETY: lifetime erasure only. The protocol (plus the unwind
+        // guard) ensures the closure cannot run, or be dropped, after this
+        // frame ends: every exit path — including a panic in `a` — first
+        // takes the closure back or observes the job finished.
+        let run: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(closure) };
         let job = Arc::new(Job {
-            state: Mutex::new(State::Pending(closure)),
+            state: Mutex::new(State::Busy),
             cv: Condvar::new(),
-            ctx: current_ctx(),
         });
-        queue().send(Arc::clone(&job)).expect("pool queue closed");
+        submit(Queued {
+            job: Arc::clone(&job),
+            run,
+            ctx: super::current_ctx(),
+        });
         let mut guard = FrameGuard {
             job: Arc::clone(&job),
             armed: true,
@@ -361,40 +445,24 @@ mod pool {
 
         let ra = a();
 
-        let reclaimed = {
-            let mut st = job.state.lock().expect("job lock");
-            match std::mem::replace(&mut *st, State::ClaimedBack) {
-                State::Pending(f) => Some(f),
-                other => {
-                    *st = other;
-                    None
-                }
-            }
-        };
-        match reclaimed {
+        match reclaim(&job) {
             // Nobody started it: run inline (a panic here unwinds the
-            // frame naturally; the guard sees ClaimedBack and is a no-op).
-            Some(f) => f(),
+            // frame naturally; the guard, disarmed, does nothing).
+            Some(queued) => {
+                guard.armed = false;
+                (queued.run)();
+            }
             None => {
-                let mut st = job.state.lock().expect("job lock");
-                while matches!(*st, State::Running) {
-                    st = job.cv.wait(st).expect("job lock");
-                }
-                if matches!(*st, State::Panicked(_)) {
-                    let payload = match std::mem::replace(&mut *st, State::Done) {
-                        State::Panicked(p) => p,
-                        _ => unreachable!("state checked under the same lock"),
-                    };
-                    drop(st);
-                    guard.armed = false;
+                let state = wait(&job);
+                guard.armed = false;
+                if let State::Panicked(payload) = state {
                     std::panic::resume_unwind(payload);
                 }
             }
         }
-        guard.armed = false;
         let rb = rb_slot
             .take()
-            .expect("join: stolen side produced no result");
+            .expect("join: published side produced no result");
         (ra, rb)
     }
 }
@@ -634,6 +702,134 @@ mod tests {
         assert!(
             peak <= 2,
             "width-2 pool ran {peak} leaves concurrently; the width must be a hard cap"
+        );
+    }
+
+    /// A pool that reports `width` but has no extra-thread permit: no
+    /// worker ever takes its jobs, so only their submitter or a helper
+    /// in `yield_now` can run them.
+    fn permitless_pool(width: usize) -> ThreadPool {
+        ThreadPool {
+            ctx: PoolCtx {
+                width,
+                budget: Arc::new(Budget::new(0)),
+            },
+        }
+    }
+
+    #[test]
+    fn yield_now_runs_a_join_side_its_left_side_waits_for() {
+        use std::sync::atomic::AtomicBool;
+
+        let pool = permitless_pool(2);
+        let right_ran = AtomicBool::new(false);
+        let (helped, ()) = pool.install(|| {
+            join(
+                || {
+                    // The left side can finish only after the right side
+                    // ran, and the right side can run only through here.
+                    let mut helped = Vec::new();
+                    while !right_ran.load(Ordering::SeqCst) && helped.len() < 1000 {
+                        helped.push(yield_now());
+                    }
+                    helped
+                },
+                || right_ran.store(true, Ordering::SeqCst),
+            )
+        });
+        assert_eq!(helped, vec![Some(Yield::Executed)]);
+        assert_eq!(pool.install(yield_now), Some(Yield::Idle));
+    }
+
+    #[test]
+    fn yield_now_runs_only_jobs_of_the_callers_pool() {
+        use std::sync::atomic::AtomicBool;
+
+        let (pool, other) = (permitless_pool(2), permitless_pool(2));
+        let right_ran = AtomicBool::new(false);
+        pool.install(|| {
+            join(
+                || {
+                    // Another pool's helper finds nothing to run.
+                    assert_eq!(other.install(yield_now), Some(Yield::Idle));
+                    assert!(!right_ran.load(Ordering::SeqCst));
+                },
+                || right_ran.store(true, Ordering::SeqCst),
+            )
+        });
+        assert!(right_ran.load(Ordering::SeqCst), "the submitter runs it");
+    }
+
+    #[test]
+    fn pool_width_bounds_concurrency_with_a_helping_waiter() {
+        use std::collections::HashMap;
+        use std::sync::atomic::AtomicUsize;
+        use std::sync::Mutex;
+        use std::thread::ThreadId;
+
+        /// Threads inside a leaf, each with its nesting depth, and the
+        /// most threads ever inside one at once.
+        struct Live {
+            threads: Mutex<HashMap<ThreadId, usize>>,
+            peak: AtomicUsize,
+            done: AtomicUsize,
+        }
+
+        impl Live {
+            fn enter(&self) {
+                let mut threads = self.threads.lock().unwrap();
+                *threads.entry(std::thread::current().id()).or_default() += 1;
+                self.peak.fetch_max(threads.len(), Ordering::SeqCst);
+            }
+
+            fn exit(&self) {
+                let mut threads = self.threads.lock().unwrap();
+                let id = std::thread::current().id();
+                let depth = threads.get_mut(&id).unwrap();
+                *depth -= 1;
+                if *depth == 0 {
+                    threads.remove(&id);
+                }
+            }
+        }
+
+        fn fan(depth: usize, first: bool, live: &Live) {
+            if depth == 0 {
+                live.enter();
+                if first {
+                    // The first leaf waits for all the others, running
+                    // queued leaves while it waits, as a lazy-tree ray
+                    // waits for a node another thread expands.
+                    while live.done.load(Ordering::SeqCst) < 15 {
+                        if yield_now() != Some(Yield::Executed) {
+                            std::thread::yield_now();
+                        }
+                    }
+                } else {
+                    std::thread::sleep(std::time::Duration::from_millis(2));
+                    live.done.fetch_add(1, Ordering::SeqCst);
+                }
+                live.exit();
+                return;
+            }
+            join(
+                || fan(depth - 1, first, live),
+                || fan(depth - 1, false, live),
+            );
+        }
+
+        let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
+        let live = Live {
+            threads: Mutex::new(HashMap::new()),
+            peak: AtomicUsize::new(0),
+            done: AtomicUsize::new(0),
+        };
+        pool.install(|| fan(4, true, &live));
+        assert_eq!(live.done.load(Ordering::SeqCst), 15);
+        let peak = live.peak.load(Ordering::SeqCst);
+        assert!(
+            peak <= 2,
+            "width-2 pool ran leaves on {peak} threads at once; helping must not widen it"
         );
     }
 
