@@ -38,12 +38,16 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// `C_base` and the two corners of the tuner's `(CI, CB, S, R)` space.
-fn param_sets() -> [(&'static str, BuildParams); 3] {
+/// `C_base`, the two corners of the tuner's `(CI, CB, S, R)` space, and
+/// the point the lazy tuner converges to on kdbench's anim_tune: a
+/// whole-frame deferral, expanded by a fork tree of depth 4 on two
+/// threads.
+fn param_sets() -> [(&'static str, BuildParams); 4] {
     [
         ("base", BuildParams::default()),
         ("corner_lo", BuildParams::from_config(3.0, 0.0, 8, 16)),
         ("corner_hi", BuildParams::from_config(101.0, 60.0, 1, 8192)),
+        ("lazy_tuned", BuildParams::from_config(72.0, 12.0, 6, 4096)),
     ]
 }
 
@@ -166,6 +170,10 @@ const EXPECTED: &[(&str, &str, &str, u64)] = &[
     ("bunny_f0", "corner_hi", "nested", 0x6a4cefad52dba0b9),
     ("bunny_f0", "corner_hi", "in_place", 0x6a4cefad52dba0b9),
     ("bunny_f0", "corner_hi", "lazy", 0x6a4cefad52dba0b9),
+    ("bunny_f0", "lazy_tuned", "node_level", 0xc05eea7034339094),
+    ("bunny_f0", "lazy_tuned", "nested", 0xc05eea7034339094),
+    ("bunny_f0", "lazy_tuned", "in_place", 0xc05eea7034339094),
+    ("bunny_f0", "lazy_tuned", "lazy", 0xc05eea7034339094),
     ("sponza_f0", "base", "node_level", 0xa6ef1ec1eeb089e5),
     ("sponza_f0", "base", "nested", 0xa6ef1ec1eeb089e5),
     ("sponza_f0", "base", "in_place", 0xa6ef1ec1eeb089e5),
@@ -178,6 +186,10 @@ const EXPECTED: &[(&str, &str, &str, u64)] = &[
     ("sponza_f0", "corner_hi", "nested", 0xfd48a4a0c5e47289),
     ("sponza_f0", "corner_hi", "in_place", 0xfd48a4a0c5e47289),
     ("sponza_f0", "corner_hi", "lazy", 0xfd48a4a0c5e47289),
+    ("sponza_f0", "lazy_tuned", "node_level", 0x25d9824afb4dde26),
+    ("sponza_f0", "lazy_tuned", "nested", 0x25d9824afb4dde26),
+    ("sponza_f0", "lazy_tuned", "in_place", 0x25d9824afb4dde26),
+    ("sponza_f0", "lazy_tuned", "lazy", 0x25d9824afb4dde26),
     ("sibenik_f0", "base", "node_level", 0x1c17c389c777b899),
     ("sibenik_f0", "base", "nested", 0x1c17c389c777b899),
     ("sibenik_f0", "base", "in_place", 0x1c17c389c777b899),
@@ -190,6 +202,10 @@ const EXPECTED: &[(&str, &str, &str, u64)] = &[
     ("sibenik_f0", "corner_hi", "nested", 0x6460fcafc0d4f577),
     ("sibenik_f0", "corner_hi", "in_place", 0x6460fcafc0d4f577),
     ("sibenik_f0", "corner_hi", "lazy", 0x6460fcafc0d4f577),
+    ("sibenik_f0", "lazy_tuned", "node_level", 0xadf79650f2b324f5),
+    ("sibenik_f0", "lazy_tuned", "nested", 0xadf79650f2b324f5),
+    ("sibenik_f0", "lazy_tuned", "in_place", 0xadf79650f2b324f5),
+    ("sibenik_f0", "lazy_tuned", "lazy", 0xadf79650f2b324f5),
     ("toasters_f0", "base", "node_level", 0xdcebb070afb4e65f),
     ("toasters_f0", "base", "nested", 0xdcebb070afb4e65f),
     ("toasters_f0", "base", "in_place", 0xdcebb070afb4e65f),
@@ -202,6 +218,10 @@ const EXPECTED: &[(&str, &str, &str, u64)] = &[
     ("toasters_f0", "corner_hi", "nested", 0xd631ff0b080c3f65),
     ("toasters_f0", "corner_hi", "in_place", 0xd631ff0b080c3f65),
     ("toasters_f0", "corner_hi", "lazy", 0xd631ff0b080c3f65),
+    ("toasters_f0", "lazy_tuned", "node_level", 0x5cc4c4d0be401772),
+    ("toasters_f0", "lazy_tuned", "nested", 0x5cc4c4d0be401772),
+    ("toasters_f0", "lazy_tuned", "in_place", 0x5cc4c4d0be401772),
+    ("toasters_f0", "lazy_tuned", "lazy", 0x5cc4c4d0be401772),
     ("toasters_f123", "base", "node_level", 0x55a692a4dbfd9617),
     ("toasters_f123", "base", "nested", 0x55a692a4dbfd9617),
     ("toasters_f123", "base", "in_place", 0x55a692a4dbfd9617),
@@ -214,6 +234,10 @@ const EXPECTED: &[(&str, &str, &str, u64)] = &[
     ("toasters_f123", "corner_hi", "nested", 0x7ca9708f53eb9d68),
     ("toasters_f123", "corner_hi", "in_place", 0x7ca9708f53eb9d68),
     ("toasters_f123", "corner_hi", "lazy", 0x7ca9708f53eb9d68),
+    ("toasters_f123", "lazy_tuned", "node_level", 0xddd1b04b93881ee1),
+    ("toasters_f123", "lazy_tuned", "nested", 0xddd1b04b93881ee1),
+    ("toasters_f123", "lazy_tuned", "in_place", 0xddd1b04b93881ee1),
+    ("toasters_f123", "lazy_tuned", "lazy", 0xddd1b04b93881ee1),
     ("wood_doll_f14", "base", "node_level", 0x601e494751b68cef),
     ("wood_doll_f14", "base", "nested", 0x601e494751b68cef),
     ("wood_doll_f14", "base", "in_place", 0x601e494751b68cef),
@@ -226,6 +250,10 @@ const EXPECTED: &[(&str, &str, &str, u64)] = &[
     ("wood_doll_f14", "corner_hi", "nested", 0xe6ec0e143bd27f47),
     ("wood_doll_f14", "corner_hi", "in_place", 0xe6ec0e143bd27f47),
     ("wood_doll_f14", "corner_hi", "lazy", 0xe6ec0e143bd27f47),
+    ("wood_doll_f14", "lazy_tuned", "node_level", 0x128297f8541d4f98),
+    ("wood_doll_f14", "lazy_tuned", "nested", 0x128297f8541d4f98),
+    ("wood_doll_f14", "lazy_tuned", "in_place", 0x128297f8541d4f98),
+    ("wood_doll_f14", "lazy_tuned", "lazy", 0x128297f8541d4f98),
     ("fairy_forest_f10", "base", "node_level", 0xdb1d2d3b87d1231e),
     ("fairy_forest_f10", "base", "nested", 0xdb1d2d3b87d1231e),
     ("fairy_forest_f10", "base", "in_place", 0xdb1d2d3b87d1231e),
@@ -238,6 +266,10 @@ const EXPECTED: &[(&str, &str, &str, u64)] = &[
     ("fairy_forest_f10", "corner_hi", "nested", 0x0df31ebe1ec451a2),
     ("fairy_forest_f10", "corner_hi", "in_place", 0x0df31ebe1ec451a2),
     ("fairy_forest_f10", "corner_hi", "lazy", 0x0df31ebe1ec451a2),
+    ("fairy_forest_f10", "lazy_tuned", "node_level", 0x3148bbe2608ffe0f),
+    ("fairy_forest_f10", "lazy_tuned", "nested", 0x3148bbe2608ffe0f),
+    ("fairy_forest_f10", "lazy_tuned", "in_place", 0x3148bbe2608ffe0f),
+    ("fairy_forest_f10", "lazy_tuned", "lazy", 0x3148bbe2608ffe0f),
     ("soup20k", "base", "node_level", 0xa3348548bad972e3),
     ("soup20k", "base", "nested", 0xa3348548bad972e3),
     ("soup20k", "base", "in_place", 0xa3348548bad972e3),
@@ -250,6 +282,10 @@ const EXPECTED: &[(&str, &str, &str, u64)] = &[
     ("soup20k", "corner_hi", "nested", 0x4ea84862da186ea9),
     ("soup20k", "corner_hi", "in_place", 0x4ea84862da186ea9),
     ("soup20k", "corner_hi", "lazy", 0x4ea84862da186ea9),
+    ("soup20k", "lazy_tuned", "node_level", 0xb02653171fce8704),
+    ("soup20k", "lazy_tuned", "nested", 0xb02653171fce8704),
+    ("soup20k", "lazy_tuned", "in_place", 0xb02653171fce8704),
+    ("soup20k", "lazy_tuned", "lazy", 0xb02653171fce8704),
     ("signed_zero", "base", "node_level", 0xbcf26bca5c1c4873),
     ("signed_zero", "base", "nested", 0xbcf26bca5c1c4873),
     ("signed_zero", "base", "in_place", 0xbcf26bca5c1c4873),
@@ -262,6 +298,10 @@ const EXPECTED: &[(&str, &str, &str, u64)] = &[
     ("signed_zero", "corner_hi", "nested", 0x53c87b180c8f175e),
     ("signed_zero", "corner_hi", "in_place", 0x53c87b180c8f175e),
     ("signed_zero", "corner_hi", "lazy", 0x53c87b180c8f175e),
+    ("signed_zero", "lazy_tuned", "node_level", 0x723187ac4ea86e73),
+    ("signed_zero", "lazy_tuned", "nested", 0x723187ac4ea86e73),
+    ("signed_zero", "lazy_tuned", "in_place", 0x723187ac4ea86e73),
+    ("signed_zero", "lazy_tuned", "lazy", 0x723187ac4ea86e73),
     ("non_finite", "base", "node_level", 0x679a65d4736367d7),
     ("non_finite", "base", "nested", 0x679a65d4736367d7),
     ("non_finite", "base", "in_place", 0x679a65d4736367d7),
@@ -274,6 +314,10 @@ const EXPECTED: &[(&str, &str, &str, u64)] = &[
     ("non_finite", "corner_hi", "nested", 0x679a65d4736367d7),
     ("non_finite", "corner_hi", "in_place", 0x679a65d4736367d7),
     ("non_finite", "corner_hi", "lazy", 0x679a65d4736367d7),
+    ("non_finite", "lazy_tuned", "node_level", 0x679a65d4736367d7),
+    ("non_finite", "lazy_tuned", "nested", 0x679a65d4736367d7),
+    ("non_finite", "lazy_tuned", "in_place", 0x679a65d4736367d7),
+    ("non_finite", "lazy_tuned", "lazy", 0x679a65d4736367d7),
 ];
 
 fn check_at_width(width: usize) {
@@ -316,6 +360,11 @@ fn check_at_width(width: usize) {
 #[test]
 fn trees_match_pinned_fingerprints_at_pool_width_1() {
     check_at_width(1);
+}
+
+#[test]
+fn trees_match_pinned_fingerprints_at_pool_width_2() {
+    check_at_width(2);
 }
 
 #[test]
