@@ -141,41 +141,6 @@ fn bench_seeding_size(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_binned_vs_sweep(c: &mut Criterion) {
-    // Exact event sweep vs binned approximation: build time and the
-    // resulting frame cost. Few bins build fastest but yield worse trees.
-    use kdtune::kdtree::SplitMethod;
-    let scene = bunny(&SceneParams::quick());
-    let mesh = scene.frame(0);
-    let v = scene.view;
-    let cam = Camera::look_at(v.eye, v.target, v.up, v.fov_deg, 32, 32);
-    let mut group = c.benchmark_group("ablation_binned_vs_sweep");
-    group
-        .sample_size(10)
-        .measurement_time(Duration::from_secs(2))
-        .warm_up_time(Duration::from_millis(300));
-    let mut cases = vec![("sweep".to_string(), SplitMethod::Sweep)];
-    for bins in [8u32, 32, 128] {
-        cases.push((format!("binned_{bins}"), SplitMethod::Binned { bins }));
-    }
-    for (name, split) in cases {
-        let params = BuildParams {
-            split,
-            ..BuildParams::default()
-        };
-        group.bench_function(format!("build_{name}"), |b| {
-            b.iter(|| black_box(build(mesh.clone(), Algorithm::InPlace, &params)))
-        });
-        group.bench_function(format!("frame_{name}"), |b| {
-            b.iter(|| {
-                let tree = build(mesh.clone(), Algorithm::InPlace, &params);
-                black_box(render(&tree, &cam, v.light))
-            })
-        });
-    }
-    group.finish();
-}
-
 fn bench_inplace_thread_scaling(c: &mut Criterion) {
     // The level-synchronous in-place build across pool widths. On real
     // multi-core hardware the 4- and 8-thread rows should be well under
@@ -214,7 +179,6 @@ criterion_group!(
     bench_r_sweep,
     bench_sah_vs_median_frame,
     bench_seeding_size,
-    bench_binned_vs_sweep,
     bench_inplace_thread_scaling
 );
 criterion_main!(benches);

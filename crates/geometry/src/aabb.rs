@@ -97,7 +97,14 @@ impl Aabb {
         if self.is_empty() {
             return 0.0;
         }
-        let e = self.extent();
+        Aabb::area_of_extent(self.extent())
+    }
+
+    /// Surface area of a box with extents `e`: the sum
+    /// [`Aabb::surface_area`] takes for a non-empty box, term for term, so
+    /// a caller holding a box's extents gets the same bits.
+    #[inline]
+    pub fn area_of_extent(e: Vec3) -> f32 {
         2.0 * (e.x * e.y + e.x * e.z + e.y * e.z)
     }
 

@@ -18,9 +18,9 @@
 //! holds no lock across a `join`, so the claimant and every pool thread
 //! it waits for keep making progress (see DESIGN.md §1).
 
-use crate::build::{build_recursive, BuildCtx, BuildParams, DeferredPrims, NodePrims};
+use crate::build::{build_depth_first, BuildCtx, BuildParams, DeferredPrims};
 use crate::traverse::{any, nearest, Gathered, LeafTest};
-use crate::tree::{flatten, flatten_build, KdTree, NodeKind, Open, PackedNode};
+use crate::tree::{flatten, KdTree, NodeKind, Open, PackedNode};
 use kdtune_geometry::{Aabb, Hit, Ray, TriangleMesh};
 use kdtune_telemetry as telemetry;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -197,18 +197,15 @@ impl LazyKdTree {
             // for a degenerate R) still classify in parallel; the output
             // is identical to the sequential path.
             nested: true,
-            split: self.params.split,
             level_tasks: 1,
         };
-        let root = NodePrims::root(&ctx, true);
-        let root = build_recursive(&ctx, root, d.bounds, 0, &mut ctx.marks());
+        let mut out = build_depth_first(&ctx, d.bounds);
         // The subtree was built over positions in the deferred list; its
         // leaves name mesh primitives.
-        let (nodes, mut prims) = flatten_build(&root);
-        for p in &mut prims {
+        for p in &mut out.prims {
             *p = d.prims[*p as usize];
         }
-        KdTree::from_raw_parts(Arc::clone(mesh), d.bounds, nodes, prims)
+        KdTree::from_raw_parts(Arc::clone(mesh), d.bounds, out.nodes, out.prims)
     }
 
     /// Materializes the whole tree as an eager [`KdTree`], expanding every
@@ -220,7 +217,7 @@ impl LazyKdTree {
         let subtrees: Vec<&KdTree> = self.deferred.iter().map(|d| self.expand(d)).collect();
         let capacity = self.total_node_count();
         // Walk the top part, entering each deferred leaf's subtree instead.
-        let (nodes, prims) = flatten((&self.top, 0), capacity, &mut |(tree, idx)| {
+        let out = flatten((&self.top, 0), capacity, &mut |(tree, idx)| {
             let (tree, idx) = match tree.nodes()[idx as usize].deferred_slot() {
                 Some(slot) => (subtrees[slot as usize], 0),
                 None => (tree, idx),
@@ -236,7 +233,7 @@ impl LazyKdTree {
                 } => Open::Split(axis, pos, (tree, left), (tree, right)),
             }
         });
-        KdTree::from_raw_parts(Arc::clone(self.mesh()), self.bounds(), nodes, prims)
+        KdTree::from_raw_parts(Arc::clone(self.mesh()), self.bounds(), out.nodes, out.prims)
     }
 
     /// Nearest intersection in `(t_min, t_max)`, expanding deferred nodes

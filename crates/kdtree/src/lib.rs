@@ -35,7 +35,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod binned;
 pub mod build;
 pub mod io;
 mod lazy_tree;
@@ -50,14 +49,13 @@ mod traverse_packet;
 mod tree;
 mod validate;
 
-pub use binned::best_split_binned;
-pub use build::{build, build_median, Algorithm, BuildParams, SplitMethod};
+pub use build::{build, build_median, Algorithm, BuildParams};
 pub use lazy_tree::LazyKdTree;
 pub use point_query::{brute_force_knn, brute_force_radius, Neighbor};
 pub use query::{BuiltTree, RayQuery};
 pub use sah::SahParams;
 pub use split::{best_split_naive, best_split_sweep, best_split_sweep_idx, classify, SplitPlane};
-pub use stats::{to_dot, TreeHistograms, TreeStats};
+pub use stats::TreeStats;
 pub use traverse::{brute_force_intersect, TraversalCounters, FIXED_TRAVERSAL_STACK};
 pub use traverse_packet::PacketCounters;
 pub use tree::{KdTree, NodeKind, PackedNode, MAX_NODE_PAYLOAD};

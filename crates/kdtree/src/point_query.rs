@@ -453,17 +453,12 @@ mod tests {
             ));
         }
         let mesh = Arc::new(mesh);
-        let mut node = crate::tree::BuildNode::Leaf((0..32).collect());
-        for d in 0..100 {
-            node = crate::tree::BuildNode::Inner {
-                axis: kdtune_geometry::Axis::Y,
-                pos: -1.0 - d as f32 * 1e-3,
-                left: Box::new(crate::tree::BuildNode::Leaf(Vec::new())),
-                right: Box::new(node),
-            };
-        }
-        let bounds = mesh.bounds();
-        let tree = KdTree::from_build(mesh.clone(), bounds, node);
+        // A 100-deep spine of tiny slabs below the mesh, all of it in
+        // the bottom leaf.
+        let slab = |d: u32| -1.0 - (99 - d) as f32 * 1e-3;
+        let all: Vec<u32> = (0..32).collect();
+        let tree =
+            crate::tree::right_spine(mesh.clone(), 100, kdtune_geometry::Axis::Y, slab, &all);
         assert!(tree.traversal_depth_bound() as usize > crate::FIXED_TRAVERSAL_STACK);
         let q = Vec3::new(7.3, 0.4, 2.0);
         let got = tree.knn(q, 5);

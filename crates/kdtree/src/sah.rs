@@ -79,6 +79,21 @@ impl SahParams {
         let (l, r) = bounds.split(axis, pos);
         let p_l = l.surface_area() / area;
         let p_r = r.surface_area() / area;
+        self.cost_from_ratios(p_l, p_r, n_left, n_right, n_total)
+    }
+
+    /// Eq. 1 from the children's surface-area ratios `p_l` and `p_r`: the
+    /// tail of [`SahParams::split_cost`], which the sweep also calls with
+    /// ratios it works out from the node's extents.
+    #[inline]
+    pub(crate) fn cost_from_ratios(
+        &self,
+        p_l: f32,
+        p_r: f32,
+        n_left: usize,
+        n_right: usize,
+        n_total: usize,
+    ) -> f32 {
         let duplicated = (n_left + n_right).saturating_sub(n_total);
         self.ct
             + p_l * n_left as f32 * self.ci

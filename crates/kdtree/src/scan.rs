@@ -63,42 +63,51 @@ pub(crate) const SCAN_CHUNK: usize = 2048;
 /// way.
 const SCAN_PAR_GRAIN: usize = 1 << 17;
 
-/// One side of a partition: the items, and where each segment of them
-/// ends.
-pub type Segments<T, const N: usize> = (Vec<T>, [usize; N]);
-
 /// Stable partition of `items` by `side`, which sends each item left,
 /// right or both ways. `items` is `N` consecutive segments (segment `k`
 /// ends at `ends[k]`, the last at `items.len()`), and each segment's items
 /// stay together and in order on both sides. The left side is compacted
-/// into `items` and `ends`; the right side is returned, allocated with
-/// capacity `right_cap`. `side` is called once per item, in order.
-pub fn partition_in_place<T: Copy, const N: usize>(
+/// into `items` and `ends`; the right side replaces the contents of
+/// `right`, and its segment ends are returned. `side` is called once per
+/// item, in order.
+///
+/// No branch depends on the side flags: every item is stored at both
+/// sides' cursors, and each cursor advances by its flag. A store after
+/// the last right item lands one past it, so `right` first grows to
+/// `right_cap + 1` items (only past its current length; a recycled
+/// buffer's stale items are overwritten or cut off).
+///
+/// # Panics
+/// When more than `right_cap` items go right.
+pub fn partition_in_place<T: Copy + Default, const N: usize>(
     items: &mut Vec<T>,
     ends: &mut [usize; N],
+    right: &mut Vec<T>,
     right_cap: usize,
     mut side: impl FnMut(T) -> (bool, bool),
-) -> Segments<T, N> {
-    let mut right = Vec::with_capacity(right_cap);
+) -> [usize; N] {
+    if right.len() <= right_cap {
+        right.resize(right_cap + 1, T::default());
+    }
     let mut right_ends = [0; N];
-    let (mut kept, mut start) = (0, 0);
+    let (mut kept, mut taken, mut start) = (0, 0, 0);
     for (end, right_end) in ends.iter_mut().zip(&mut right_ends) {
         for i in start..*end {
             let x = items[i];
             let (l, r) = side(x);
-            // Branch-free: `kept <= i`, so the store is always in bounds.
+            // `kept <= i`, so the left store is always in bounds.
             items[kept] = x;
+            right[taken] = x;
             kept += usize::from(l);
-            if r {
-                right.push(x);
-            }
+            taken += usize::from(r);
         }
         start = *end;
         *end = kept;
-        *right_end = right.len();
+        *right_end = taken;
     }
     items.truncate(kept);
-    (right, right_ends)
+    right.truncate(taken);
+    right_ends
 }
 
 /// Parallel [`partition_in_place`] via count → scan → scatter, into new
@@ -111,12 +120,15 @@ pub fn partition_in_place<T: Copy, const N: usize>(
 /// 3. each chunk writes its members at its offsets in parallel.
 ///
 /// The output is element-for-element identical to the sequential
-/// partition (chunk order is preserved).
+/// partition (chunk order is preserved). The two sides replace the
+/// contents of `left` and `right`; their segment ends are returned.
 pub fn par_partition<T, F, const N: usize>(
     items: &[T],
     ends: [usize; N],
     side: F,
-) -> (Segments<T, N>, Segments<T, N>)
+    left: &mut Vec<T>,
+    right: &mut Vec<T>,
+) -> ([usize; N], [usize; N])
 where
     T: Copy + Default + Send + Sync,
     F: Fn(T) -> (bool, bool) + Sync,
@@ -156,14 +168,14 @@ where
     // Pass 3: parallel scatter into preallocated outputs. Each chunk owns
     // a disjoint slice of the output, handed out by zipping the output
     // buffers' own chunk decomposition with the input chunks.
-    let mut left = vec![T::default(); l_total];
-    let mut right = vec![T::default(); r_total];
+    left.resize(l_total, T::default());
+    right.resize(r_total, T::default());
     {
         // Split the output buffers into per-chunk windows.
         let mut l_windows: Vec<&mut [T]> = Vec::with_capacity(counts.len());
         let mut r_windows: Vec<&mut [T]> = Vec::with_capacity(counts.len());
-        let mut l_rest: &mut [T] = &mut left;
-        let mut r_rest: &mut [T] = &mut right;
+        let mut l_rest: &mut [T] = left;
+        let mut r_rest: &mut [T] = right;
         for (k, (lc, rc)) in counts.iter().enumerate() {
             debug_assert_eq!(
                 offsets[k].0 + lc,
@@ -207,10 +219,7 @@ where
             debug_assert_eq!(ri, rw.len());
         });
     }
-    (
-        (left, seg_ends.map(|e| e.0)),
-        (right, seg_ends.map(|e| e.1)),
-    )
+    (seg_ends.map(|e| e.0), seg_ends.map(|e| e.1))
 }
 
 #[cfg(test)]
@@ -237,8 +246,9 @@ mod tests {
         axis: Axis,
         pos: f32,
     ) -> (Vec<u32>, Vec<u32>) {
-        let ((left, _), (right, _)) =
-            par_partition(idx, [idx.len()], |i| sides(&bounds[i as usize], axis, pos));
+        let (mut left, mut right) = (Vec::new(), Vec::new());
+        let side = |i: u32| sides(&bounds[i as usize], axis, pos);
+        par_partition(idx, [idx.len()], side, &mut left, &mut right);
         (left, right)
     }
     use kdtune_geometry::Vec3;
@@ -358,6 +368,76 @@ mod tests {
     fn empty_input() {
         let (l, r) = par_classify_scan(&[], &[], Axis::X, 0.5);
         assert!(l.is_empty() && r.is_empty());
+    }
+
+    /// Left only, right only, or both ways (a straddler).
+    const SIDES: [(bool, bool); 3] = [(true, false), (false, true), (true, true)];
+
+    /// [`partition_in_place`] of the items `0..n` in segments ending at
+    /// `ends` (item `i` goes `SIDES[codes[i]]`), with the tightest
+    /// `right_cap` and a recycled right buffer of `stale` old items,
+    /// against a reference that filters each segment for each side.
+    fn check_partition(codes: &[u8], ends: [usize; 3], stale: usize) {
+        let side = |x: u32| SIDES[usize::from(codes[x as usize])];
+        let mut expected = [(Vec::new(), [0; 3]), (Vec::new(), [0; 3])];
+        let mut start = 0;
+        for (k, &end) in ends.iter().enumerate() {
+            for x in start as u32..end as u32 {
+                let (l, r) = side(x);
+                for (keep, (out, _)) in [l, r].into_iter().zip(&mut expected) {
+                    if keep {
+                        out.push(x);
+                    }
+                }
+            }
+            for (out, out_ends) in &mut expected {
+                out_ends[k] = out.len();
+            }
+            start = end;
+        }
+        let right_cap = expected[1].0.len();
+        let mut left: Vec<u32> = (0..codes.len() as u32).collect();
+        let mut left_ends = ends;
+        let mut right = vec![u32::MAX; stale];
+        let right_ends = partition_in_place(&mut left, &mut left_ends, &mut right, right_cap, side);
+        assert_eq!(
+            [(left, left_ends), (right, right_ends)],
+            expected,
+            "{codes:?} {ends:?}"
+        );
+    }
+
+    #[test]
+    fn branch_free_partition_matches_reference_at_the_edges() {
+        let n = 40;
+        let ends = [10, 25, n];
+        check_partition(&[0; 40], ends, 0); // all left
+        check_partition(&[1; 40], ends, 0); // all right
+        check_partition(&[2; 40], ends, 3); // all straddling
+                                            // The right side fills `right_cap` exactly and a left-only item
+                                            // comes last: its store lands on the slack slot.
+        let mut codes = [1u8; 40];
+        codes[39] = 0;
+        check_partition(&codes, ends, 0);
+        check_partition(&codes, ends, 64);
+        check_partition(&[], [0; 3], 5);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random sides, segments and recycled buffers.
+        #[test]
+        fn branch_free_partition_matches_reference(
+            codes in proptest::collection::vec(0u8..3, 0..300),
+            a in 0usize..300,
+            b in 0usize..300,
+            stale in 0usize..400,
+        ) {
+            let n = codes.len();
+            let (a, b) = (a.min(n), b.min(n));
+            check_partition(&codes, [a.min(b), a.max(b), n], stale);
+        }
     }
 
     proptest! {

@@ -103,80 +103,6 @@ fn walk(
     }
 }
 
-/// Distribution views of a tree's shape, complementing [`TreeStats`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct TreeHistograms {
-    /// `leaf_depths[d]` = number of leaves at depth `d`.
-    pub leaf_depths: Vec<usize>,
-    /// `leaf_sizes[k]` = number of leaves holding `k` primitives
-    /// (the last bucket aggregates everything ≥ its index).
-    pub leaf_sizes: Vec<usize>,
-}
-
-/// Size of the last (aggregating) bucket of `leaf_sizes`.
-const MAX_SIZE_BUCKET: usize = 64;
-
-impl TreeHistograms {
-    /// Computes depth and leaf-size histograms.
-    pub fn compute(tree: &KdTree) -> TreeHistograms {
-        let mut h = TreeHistograms::default();
-        let mut stack: Vec<(u32, u32)> = vec![(0, 0)];
-        while let Some((idx, depth)) = stack.pop() {
-            match tree.node_kind(idx) {
-                NodeKind::Leaf { count, .. } => {
-                    let d = depth as usize;
-                    if h.leaf_depths.len() <= d {
-                        h.leaf_depths.resize(d + 1, 0);
-                    }
-                    h.leaf_depths[d] += 1;
-                    let bucket = (count as usize).min(MAX_SIZE_BUCKET);
-                    if h.leaf_sizes.len() <= bucket {
-                        h.leaf_sizes.resize(bucket + 1, 0);
-                    }
-                    h.leaf_sizes[bucket] += 1;
-                }
-                NodeKind::Inner { left, right, .. } => {
-                    stack.push((left, depth + 1));
-                    stack.push((right, depth + 1));
-                }
-            }
-        }
-        h
-    }
-
-    /// Total number of leaves counted.
-    pub fn leaf_count(&self) -> usize {
-        self.leaf_depths.iter().sum()
-    }
-}
-
-/// Renders the tree in Graphviz DOT format (debugging small trees).
-/// Leaves are labeled with their primitive count, inner nodes with their
-/// split plane.
-pub fn to_dot(tree: &KdTree) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from("digraph kdtree {\n  node [shape=box];\n");
-    for i in 0..tree.node_count() as u32 {
-        match tree.node_kind(i) {
-            NodeKind::Leaf { count, .. } => {
-                let _ = writeln!(out, "  n{i} [label=\"leaf {count}\"];");
-            }
-            NodeKind::Inner {
-                axis,
-                pos,
-                left,
-                right,
-            } => {
-                let _ = writeln!(out, "  n{i} [label=\"{axis:?} @ {pos:.3}\"];");
-                let _ = writeln!(out, "  n{i} -> n{left};");
-                let _ = writeln!(out, "  n{i} -> n{right};");
-            }
-        }
-    }
-    out.push_str("}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,40 +151,6 @@ mod tests {
             stats.memory_bytes,
             8 * stats.node_count + (4 + 40) * stats.prim_references
         );
-    }
-
-    #[test]
-    fn histograms_are_consistent_with_stats() {
-        let tree = build(grid_mesh(128), Algorithm::InPlace, &BuildParams::default());
-        let tree = tree.as_eager().unwrap();
-        let stats = TreeStats::compute(tree);
-        let hist = TreeHistograms::compute(tree);
-        assert_eq!(hist.leaf_count(), stats.leaf_count);
-        assert_eq!(hist.leaf_depths.len() as u32, stats.max_depth + 1);
-        assert_eq!(hist.leaf_sizes.iter().sum::<usize>(), stats.leaf_count);
-        // Weighted leaf-size sum equals total primitive references (no
-        // leaf at grid scale reaches the aggregate bucket).
-        let weighted: usize = hist
-            .leaf_sizes
-            .iter()
-            .enumerate()
-            .map(|(k, &n)| k * n)
-            .sum();
-        assert_eq!(weighted, stats.prim_references);
-    }
-
-    #[test]
-    fn dot_export_mentions_every_node() {
-        let tree = build(grid_mesh(16), Algorithm::NodeLevel, &BuildParams::default());
-        let tree = tree.as_eager().unwrap();
-        let dot = to_dot(tree);
-        assert!(dot.starts_with("digraph"));
-        for i in 0..tree.node_count() {
-            assert!(dot.contains(&format!("n{i} ")), "node {i} missing");
-        }
-        // Edges: every inner node contributes two.
-        let inner = tree.node_count() - TreeStats::compute(tree).leaf_count;
-        assert_eq!(dot.matches("->").count(), 2 * inner);
     }
 
     #[test]

@@ -160,19 +160,6 @@ fn rays_from_inside_the_geometry() {
     }
 }
 
-#[test]
-fn binned_split_method_matches_brute_force() {
-    use kdtune_kdtree::SplitMethod;
-    let mesh = soup(400, 11);
-    for bins in [2u32, 8, 32, 256] {
-        let params = BuildParams {
-            split: SplitMethod::Binned { bins },
-            ..BuildParams::default()
-        };
-        check_equivalence(&mesh, &params, 12);
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 

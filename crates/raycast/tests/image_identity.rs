@@ -3,7 +3,7 @@
 //! configurations, and thread counts — only *time* may differ, never
 //! pixels.
 
-use kdtune_kdtree::{build, Algorithm, BuildParams, SplitMethod};
+use kdtune_kdtree::{build, Algorithm, BuildParams};
 use kdtune_raycast::{render, Camera};
 use kdtune_scenes::{sponza, wood_doll, SceneParams};
 
@@ -47,10 +47,6 @@ fn identical_across_configurations_and_split_methods() {
     for params in [
         BuildParams::from_config(3.0, 0.0, 1, 16),
         BuildParams::from_config(101.0, 60.0, 8, 8192),
-        BuildParams {
-            split: SplitMethod::Binned { bins: 8 },
-            ..BuildParams::default()
-        },
     ] {
         assert_eq!(
             image_bytes(Algorithm::InPlace, &params, 1),
