@@ -16,13 +16,14 @@
 //! twice per width: a **primary-ray-only** pair (every pixel traced
 //! nearest-hit, no shading or shadows — the headline
 //! `packet_speedup_w{N}`, since coherent primaries are where packets pay
-//! off) and a full-frame pair including octant-batched shadow rays
-//! (`packet_frame_speedup_w{N}`). Reports rays/sec and ns/ray per path,
-//! the packet lane utilization and the fraction of inner steps the
-//! interval frustum resolved, and emits `BENCH_traversal.json` into
-//! `--out <dir>` (default `results/`); `rays_per_frame` with
-//! `scalar_median_ms_w{N}` gives the scalar ns/ray. Pass `--smoke` for a
-//! seconds-long CI-sized run (still covering every width).
+//! off) and a full-frame pair including the shadow rays, which are
+//! scalar at every width (`packet_frame_speedup_w{N}`). Reports rays/sec
+//! and ns/ray per path, the packet lane utilization and the fraction of
+//! inner steps the interval frustum resolved, and emits
+//! `BENCH_traversal.json` into `--out <dir>` (default `results/`);
+//! `rays_per_frame` with `scalar_median_ms_w{N}` gives the scalar
+//! ns/ray. Pass `--smoke` for a seconds-long CI-sized run (still
+//! covering every width).
 //!
 //! [`ViewSpec`]: kdtune::scenes::ViewSpec
 
@@ -483,7 +484,7 @@ fn main() {
                 format!("primary_frustum_rate_w{w}"),
                 format!("{:.4}", wr.primary_counters.frustum_rate()),
             ),
-            // Full frames (primary + octant-batched shadow rays).
+            // Full frames (packet primaries + scalar shadow rays).
             (
                 format!("packet_frame_speedup_w{w}"),
                 format!("{:.4}", wr.frame_speedup()),

@@ -587,9 +587,9 @@ mod tests {
         let _ = p.tune_packets();
     }
 
-    /// A tree whose scalar queries tally their traversal work; packets
-    /// take the tree's own packet loop, which counts its work in the
-    /// render's [`PacketCounters`].
+    /// A tree whose scalar queries tally their traversal work; primary
+    /// packets take the tree's own packet loop, which counts its work in
+    /// the render's [`PacketCounters`].
     struct Counted<'a> {
         tree: &'a kdtune_kdtree::KdTree,
         work: std::sync::Mutex<TraversalCounters>,
@@ -630,17 +630,6 @@ mod tests {
         ) -> [Option<Hit>; W] {
             self.tree
                 .intersect_packet(p, t_min, min_active, use_frustum, counters)
-        }
-        fn intersect_any_packet<const W: usize>(
-            &self,
-            p: &RayPacket<W>,
-            t_min: f32,
-            min_active: u32,
-            use_frustum: bool,
-            counters: &mut PacketCounters,
-        ) -> u32 {
-            self.tree
-                .intersect_any_packet(p, t_min, min_active, use_frustum, counters)
         }
     }
 

@@ -3,7 +3,7 @@
 //! sessions and the query benchmark both measure exactly this.
 
 use kdtune_geometry::{TriangleMesh, Vec3};
-use kdtune_kdtree::{build, Algorithm, BuildParams, BuiltTree, KdTree, Neighbor};
+use kdtune_kdtree::{build, Algorithm, BuildParams, BuiltTree, KdTree, Neighbor, PrimStamps};
 use std::sync::Arc;
 
 /// Builds the eager form of a tree for query work: lazy builds are
@@ -31,22 +31,24 @@ pub struct QueryBatchStats {
 }
 
 /// Runs one batch of point queries against `tree`, reusing result
-/// buffers so the measurement sees the kernels' zero-allocation path.
+/// buffers and one visit-stamp scratch so the measurement sees the
+/// kernels' zero-allocation path.
 pub fn run_query_batch(tree: &KdTree, points: &[Vec3], k: usize, radius: f32) -> QueryBatchStats {
     let mut knn_buf: Vec<Neighbor> = Vec::with_capacity(k);
     let mut radius_buf: Vec<Neighbor> = Vec::new();
+    let mut stamps = PrimStamps::new();
     let mut stats = QueryBatchStats {
         points: points.len(),
         ..QueryBatchStats::default()
     };
     let mut far_sum = 0.0f64;
     for &p in points {
-        tree.knn_into(p, k, &mut knn_buf);
+        tree.knn_into(p, k, &mut knn_buf, &mut stamps);
         stats.knn_results += knn_buf.len() as u64;
         if let Some(last) = knn_buf.last() {
             far_sum += last.d2 as f64;
         }
-        tree.radius_gather_into(p, radius, &mut radius_buf);
+        tree.radius_gather_into(p, radius, &mut radius_buf, &mut stamps);
         stats.radius_results += radius_buf.len() as u64;
     }
     if !points.is_empty() {

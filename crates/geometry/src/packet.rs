@@ -20,6 +20,7 @@
 //! in O(1) — descending or skipping a child only when every lane
 //! provably agrees — instead of running the O(W) per-lane test.
 
+use crate::triangle::{U_HI, U_LO};
 use crate::{Aabb, Hit, Ray, Triangle, EPS};
 
 // Elementwise helpers over `[f32; W]`. Fixed-length, branch-free lane
@@ -232,7 +233,7 @@ impl<const W: usize> PacketHit<W> {
 /// A conservative interval bound over one packet: per-axis origin and
 /// reciprocal-direction intervals covering every **active** lane
 /// (Reshetov-style interval frustum over the camera's row/column ray
-/// table deltas, or over an octant-batched shadow bundle).
+/// table deltas).
 ///
 /// Traversals use it to classify the whole packet against a kd split
 /// plane in O(1): with `diff = pos - origin` bounded by
@@ -428,12 +429,31 @@ impl Triangle {
         let pvz = mul_sub(dx, e2y, dy, e2x);
         // det = e1 · pvec (same summation order as Vec3::dot).
         let det = dot3(e1x, e1y, e1z, pvx, pvy, pvz);
-        let inv_det = div(splat(1.0), det);
         // tvec = origin - a.
         let tvx = sub(ox, splat(self.a.x));
         let tvy = sub(oy, splat(self.a.y));
         let tvz = sub(oz, splat(self.a.z));
-        let u = mul(dot3(tvx, tvy, tvz, pvx, pvy, pvz), inv_det);
+        let u_det = dot3(tvx, tvy, tvz, pvx, pvy, pvz);
+        // The scalar test's `det` cut-off and pre-division `u` window,
+        // lanewise; a packet with no lane left returns before dividing.
+        let u_out = mul(
+            sub(u_det, mul(splat(U_LO), det)),
+            sub(u_det, mul(splat(U_HI), det)),
+        );
+        let live = !mask_of::<W>(std::array::from_fn(|l| det[l].abs() < 1e-12))
+            & !mask_of::<W>(std::array::from_fn(|l| u_out[l] > 0.0))
+            & lanes
+            & p.active();
+        if live == 0 {
+            return PacketHit {
+                t: u_det,
+                u: u_det,
+                v: u_det,
+                mask: 0,
+            };
+        }
+        let inv_det = div(splat(1.0), det);
+        let u = mul(u_det, inv_det);
         // qvec = tvec × e1.
         let qvx = mul_sub(tvy, e1z, tvz, e1y);
         let qvy = mul_sub(tvz, e1x, tvx, e1z);
@@ -446,8 +466,8 @@ impl Triangle {
         // fused multi-condition predicate decays into per-lane scalar
         // compare/`set*` chains. Comparison polarity matches the scalar
         // early-outs exactly so NaNs fall through the same way:
-        // `!(det.abs() < eps)` accepts a NaN det (scalar's reject branch
-        // does not fire), the `u` window is `contains`'s
+        // `live`'s negated compares accept a NaN det or `u_det` (scalar's
+        // reject branches do not fire), the `u` window is `contains`'s
         // `-EPS <= u && u <= 1 + EPS` (NaN u rejects), and the negated
         // `v`/`t` rejects accept NaN like the scalar `||` branches.
         //
@@ -461,19 +481,14 @@ impl Triangle {
         // (`∞ - ∞ = NaN`).
         let uv = add(u, v);
         let dt_min = sub(t, splat(t_min));
-        let mask = !mask_of::<W>(std::array::from_fn(|l| det[l].abs() < 1e-12))
+        let mask = live
             & mask_of::<W>(std::array::from_fn(|l| -EPS <= u[l]))
             & mask_of::<W>(std::array::from_fn(|l| u[l] <= 1.0 + EPS))
             & !mask_of::<W>(std::array::from_fn(|l| v[l] < -EPS))
             & !mask_of::<W>(std::array::from_fn(|l| uv[l] > 1.0 + EPS))
             & !mask_of::<W>(std::array::from_fn(|l| dt_min[l] <= 0.0))
             & !mask_of::<W>(std::array::from_fn(|l| t[l] >= t_max[l]));
-        PacketHit {
-            t,
-            u,
-            v,
-            mask: mask & lanes & p.active(),
-        }
+        PacketHit { t, u, v, mask }
     }
 }
 

@@ -2,6 +2,22 @@
 
 use crate::{Aabb, Hit, Ray, Vec3, EPS};
 
+/// Relative slack of the pre-division `u` test: the unscaled numerator is
+/// rejected only when it lies beyond the `[-EPS, 1 + EPS]` window scaled
+/// by `det` and widened by this factor. The division-based `u` carries
+/// at most a few ulps of relative rounding (`1 / det` and the product,
+/// each `2^-24`, or up to `2^-21` when `1 / det` is subnormal), and so do
+/// the scaled bounds, so a slack of `2^-12` can only let a numerator
+/// through that the exact test then rejects — never reject one it would
+/// accept.
+const U_SLACK: f32 = 1.0 + 1.0 / 4096.0;
+
+/// Lower end of the pre-division `u` window, per unit of `det`.
+pub(crate) const U_LO: f32 = -EPS * U_SLACK;
+
+/// Upper end of the pre-division `u` window, per unit of `det`.
+pub(crate) const U_HI: f32 = (1.0 + EPS) * U_SLACK;
+
 /// A triangle given by its three vertices.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Triangle {
@@ -60,6 +76,16 @@ impl Triangle {
     /// `usize::MAX` (callers testing mesh triangles overwrite it).
     /// Backface hits are reported (no culling), matching the paper's ray
     /// caster which shades double-sided geometry.
+    ///
+    /// Most tests reject on `u`, so the unscaled `u · det` is first
+    /// checked against the `u` window times `det`, widened by a relative
+    /// slack of `2^-12`, and only survivors pay for `1 / det`. The checks
+    /// after that are the plain scaled ones, so every verdict and every
+    /// `t`/`u`/`v` bit is what the division-first test gives.
+    ///
+    /// `inline`: the kd-tree leaf loops call this once per triangle, from
+    /// another crate.
+    #[inline]
     pub fn intersect(&self, ray: &Ray, t_min: f32, t_max: f32) -> Option<Hit> {
         let e1 = self.b - self.a;
         let e2 = self.c - self.a;
@@ -69,9 +95,17 @@ impl Triangle {
         if det.abs() < 1e-12 {
             return None;
         }
-        let inv_det = 1.0 / det;
         let tvec = ray.origin - self.a;
-        let u = tvec.dot(pvec) * inv_det;
+        let u_det = tvec.dot(pvec);
+        // Outside the window `[U_LO·det, U_HI·det]` (ends swapped for a
+        // negative `det`), the offsets from both ends share a sign. That
+        // sign survives rounding: subtraction is sign-exact, and a product
+        // that underflows to zero only keeps the test. NaN falls through.
+        if (u_det - U_LO * det) * (u_det - U_HI * det) > 0.0 {
+            return None;
+        }
+        let inv_det = 1.0 / det;
+        let u = u_det * inv_det;
         if !(-EPS..=1.0 + EPS).contains(&u) {
             return None;
         }
@@ -280,6 +314,181 @@ mod tests {
 
     fn arb_vec(range: std::ops::Range<f32>) -> impl Strategy<Value = Vec3> {
         (range.clone(), range.clone(), range).prop_map(|(x, y, z)| Vec3::new(x, y, z))
+    }
+
+    /// Möller–Trumbore with the division first, as `intersect` was before
+    /// the pre-division `u` test; kept verbatim as the reference that
+    /// test must reproduce bit for bit.
+    fn division_first(tri: &Triangle, ray: &Ray, t_min: f32, t_max: f32) -> Option<Hit> {
+        let e1 = tri.b - tri.a;
+        let e2 = tri.c - tri.a;
+        let pvec = ray.dir.cross(e2);
+        let det = e1.dot(pvec);
+        // Parallel (or degenerate) triangles produce |det| ~ 0.
+        if det.abs() < 1e-12 {
+            return None;
+        }
+        let inv_det = 1.0 / det;
+        let tvec = ray.origin - tri.a;
+        let u = tvec.dot(pvec) * inv_det;
+        if !(-EPS..=1.0 + EPS).contains(&u) {
+            return None;
+        }
+        let qvec = tvec.cross(e1);
+        let v = ray.dir.dot(qvec) * inv_det;
+        if v < -EPS || u + v > 1.0 + EPS {
+            return None;
+        }
+        let t = e2.dot(qvec) * inv_det;
+        if t <= t_min || t >= t_max {
+            return None;
+        }
+        Some(Hit::new(t, usize::MAX, u, v))
+    }
+
+    type HitBits = Option<(u32, u32, u32)>;
+
+    fn hit_bits(hit: Option<Hit>) -> HitBits {
+        hit.map(|h| (h.t.to_bits(), h.u.to_bits(), h.v.to_bits()))
+    }
+
+    /// `x` moved by `ulps` units in the last place (away from zero for a
+    /// positive count); `x` must be finite and nonzero.
+    fn nudge(x: f32, ulps: i32) -> f32 {
+        f32::from_bits(x.to_bits().wrapping_add_signed(ulps))
+    }
+
+    /// The first `W` rays as one packet against [`division_first`], lane
+    /// by lane.
+    fn packet_matches_division_first<const W: usize>(
+        tri: &Triangle,
+        rays: &[Ray; 16],
+        t_min: f32,
+        t_max: f32,
+    ) -> Result<(), TestCaseError> {
+        let lanes: [Ray; W] = std::array::from_fn(|l| rays[l]);
+        let p = crate::RayPacket::new(lanes, [t_max; W]);
+        let h = tri.intersect_packet(&p, t_min, &[t_max; W], crate::RayPacket::<W>::ALL);
+        for (l, ray) in lanes.iter().enumerate() {
+            let got: HitBits = (h.mask & (1 << l) != 0)
+                .then(|| (h.t[l].to_bits(), h.u[l].to_bits(), h.v[l].to_bits()));
+            let want = hit_bits(division_first(tri, ray, t_min, t_max));
+            prop_assert_eq!(got, want, "W = {} lane {} {:?} {:?}", W, l, tri, ray);
+        }
+        Ok(())
+    }
+
+    /// `intersect` and every lane of `intersect_packet` at W = 4, 8 and
+    /// 16 against [`division_first`]: the same `None`-ness and the same
+    /// `t`, `u` and `v` bits.
+    fn matches_division_first(
+        tri: &Triangle,
+        rays: &[Ray; 16],
+        t_min: f32,
+        t_max: f32,
+    ) -> Result<(), TestCaseError> {
+        for ray in rays {
+            prop_assert_eq!(
+                hit_bits(tri.intersect(ray, t_min, t_max)),
+                hit_bits(division_first(tri, ray, t_min, t_max)),
+                "{:?} {:?}",
+                tri,
+                ray
+            );
+        }
+        packet_matches_division_first::<4>(tri, rays, t_min, t_max)?;
+        packet_matches_division_first::<8>(tri, rays, t_min, t_max)?;
+        packet_matches_division_first::<16>(tri, rays, t_min, t_max)
+    }
+
+    /// Sixteen rays through the right triangle `(0,0,0), (s,0,0),
+    /// (0,s,0)`, four lanes per bound and both signs of `det`. A ray
+    /// through `(x, y)` has the exact barycentrics `u = x / s` and
+    /// `v = y / s`, so a coordinate placed `ulps[l]` units around `-EPS·s`
+    /// or `(1 + EPS)·s` puts the computed `u`, `v` or `u + v` within a few
+    /// ulps of the test's bounds, after rounding that depends on `s`.
+    fn rays_at_the_bounds(s: f32, w: f32, ulps: &[i32; 16]) -> [Ray; 16] {
+        std::array::from_fn(|l| {
+            let k = ulps[l];
+            let (x, y) = match l % 4 {
+                0 => (nudge(-EPS * s, k), w * s),
+                1 => (nudge((1.0 + EPS) * s, k), 0.0),
+                2 => (w * s, nudge(-EPS * s, k)),
+                _ => (w * s, nudge((1.0 + EPS) * s - w * s, k)),
+            };
+            // Lanes 0-7 look down -z (det = s²), lanes 8-15 up +z
+            // (det = -s²).
+            let z = if l < 8 { 1.0 } else { -1.0 };
+            Ray::new(Vec3::new(x, y, z), Vec3::new(0.0, 0.0, -z))
+        })
+    }
+
+    /// Replaces one coordinate with NaN, `+inf` or `-inf` (`kind` 0-2).
+    fn poison(v: &mut Vec3, axis: usize, kind: usize) {
+        let bad = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][kind];
+        match axis {
+            0 => v.x = bad,
+            1 => v.y = bad,
+            _ => v.z = bad,
+        }
+    }
+
+    /// Poisons coordinate `which / 16` (origin x, y, z, then direction
+    /// x, y, z) of lane `which % 16`; `which >= 96` poisons nothing.
+    fn poison_ray(rays: &mut [Ray; 16], which: usize, kind: usize) {
+        if which >= 96 {
+            return;
+        }
+        let (lane, comp) = (which % 16, which / 16);
+        let (mut origin, mut dir) = (rays[lane].origin, rays[lane].dir);
+        poison(
+            if comp < 3 { &mut origin } else { &mut dir },
+            comp % 3,
+            kind,
+        );
+        rays[lane] = Ray::new(origin, dir);
+    }
+
+    proptest! {
+        /// The pre-division `u` test changes no verdict and no bit: the
+        /// scalar test and every packet lane against the division-first
+        /// formula, on random pairs and on pairs whose `u`, `v` or
+        /// `u + v` sit within a few ulps of `-EPS` or `1 + EPS` for both
+        /// signs of `det`, at scales from `|det|` just around the `1e-12`
+        /// cut-off up to `1e6`, with NaN and ±inf coordinates injected.
+        #[test]
+        fn deferred_division_matches_division_first_bitwise(
+            (a, b, c) in (arb_vec(-5.0..5.0), arb_vec(-5.0..5.0), arb_vec(-5.0..5.0)),
+            origins in prop::array::uniform16(arb_vec(-10.0..10.0)),
+            dirs in prop::array::uniform16(arb_vec(-1.0..1.0)),
+            (scale_exp, near_cutoff, w) in (-5.9f32..3.0, 0.98f32..1.02, 0.05f32..0.95),
+            ulps in prop::array::uniform16(-6i32..=6),
+            (ray_poison, tri_poison, kind) in (0usize..128, 0usize..27, 0usize..3),
+        ) {
+            let t_max = 100.0;
+            let mut tri = Triangle::new(a, b, c);
+            let mut rays: [Ray; 16] = std::array::from_fn(|l| Ray::new(origins[l], dirs[l]));
+            matches_division_first(&tri, &rays, 0.0, t_max)?;
+            for s in [10f32.powf(scale_exp), 1e-6 * near_cutoff] {
+                let right = Triangle::new(Vec3::ZERO, Vec3::X * s, Vec3::Y * s);
+                let mut bounds = rays_at_the_bounds(s, w, &ulps);
+                matches_division_first(&right, &bounds, 0.0, t_max)?;
+                poison_ray(&mut bounds, ray_poison, kind);
+                matches_division_first(&right, &bounds, 0.0, t_max)?;
+            }
+            // One poisoned ray coordinate and one poisoned vertex
+            // coordinate (each draw leaves some cases clean).
+            poison_ray(&mut rays, ray_poison, kind);
+            if tri_poison < 9 {
+                let vertex = match tri_poison / 3 {
+                    0 => &mut tri.a,
+                    1 => &mut tri.b,
+                    _ => &mut tri.c,
+                };
+                poison(vertex, tri_poison % 3, kind);
+            }
+            matches_division_first(&tri, &rays, 0.0, t_max)?;
+        }
     }
 
     proptest! {

@@ -51,7 +51,7 @@ mod validate;
 
 pub use build::{build, build_median, Algorithm, BuildParams};
 pub use lazy_tree::LazyKdTree;
-pub use point_query::{brute_force_knn, brute_force_radius, Neighbor};
+pub use point_query::{brute_force_knn, brute_force_radius, Neighbor, PrimStamps};
 pub use query::{BuiltTree, RayQuery};
 pub use sah::SahParams;
 pub use split::{best_split_naive, best_split_sweep, best_split_sweep_idx, classify, SplitPlane};

@@ -21,10 +21,12 @@
 //! with a reused buffer performs **zero heap allocations** (pinned by a
 //! counting-allocator test).
 //!
-//! Leaves duplicate primitives that straddle split planes, so both
-//! kernels deduplicate by primitive id: the knn heap rejects a prim it
-//! already holds (O(k) scan on accepted candidates only), and the gather
-//! sorts + dedups its output in place.
+//! Leaves duplicate primitives that straddle split planes (the price
+//! RTNN names for running neighbor search on a ray-tracing structure).
+//! Both kernels therefore stamp each primitive they measure in a
+//! caller-owned [`PrimStamps`] and skip a primitive already stamped by
+//! the same query, so each exact point–triangle distance is computed at
+//! most once per query and no result holds a primitive twice.
 
 use crate::traverse::{ArrayStack, TraversalStack, VecStack};
 use crate::tree::KdTree;
@@ -59,6 +61,49 @@ impl PointAxes {
     }
 }
 
+/// Per-query visit stamps, one `u32` per mesh primitive: a primitive is
+/// measured by the current query iff its stamp equals the current
+/// generation. Starting a query bumps the generation instead of clearing
+/// the stamps, so one scratch serves a whole batch of queries (over any
+/// trees) and only a generation wrap pays for a clear. Grows to the
+/// largest mesh it has seen, on first use with it; with that capacity in
+/// place, queries do not allocate.
+#[derive(Clone, Debug, Default)]
+pub struct PrimStamps {
+    stamps: Vec<u32>,
+    generation: u32,
+}
+
+impl PrimStamps {
+    /// An empty scratch; sized on first use.
+    pub fn new() -> PrimStamps {
+        PrimStamps::default()
+    }
+
+    /// Starts a query over a mesh of `prims` primitives: no primitive is
+    /// stamped afterwards.
+    fn begin(&mut self, prims: usize) {
+        if self.stamps.len() < prims {
+            self.stamps.resize(prims, 0);
+        }
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            // Every stamp may equal some old generation: start over.
+            self.stamps.fill(0);
+            self.generation = 1;
+        }
+    }
+
+    /// Stamps `prim`; false if the current query already stamped it.
+    #[inline(always)]
+    fn first_visit(&mut self, prim: u32) -> bool {
+        let stamp = &mut self.stamps[prim as usize];
+        let first = *stamp != self.generation;
+        *stamp = self.generation;
+        first
+    }
+}
+
 /// Bounded max-heap of the k best candidates so far, living in the
 /// caller's buffer. The root (index 0) is the current worst, so a full
 /// heap answers "can this candidate or subtree still matter?" in O(1).
@@ -86,14 +131,9 @@ impl<'a> BoundedHeap<'a> {
     }
 
     /// Offers a candidate; rejects it if it cannot beat the current
-    /// worst or if the same primitive is already held (leaves duplicate
-    /// straddling prims). The duplicate scan only runs on candidates
-    /// that pass the distance test.
+    /// worst. Callers offer each primitive at most once per query.
     fn offer(&mut self, cand: Neighbor) {
         if cand.d2 >= self.worst() {
-            return;
-        }
-        if self.items.iter().any(|n| n.prim == cand.prim) {
             return;
         }
         if self.items.len() < self.k {
@@ -137,12 +177,14 @@ fn knn_impl<S: TraversalStack<PqEntry>>(
     p: Vec3,
     k: usize,
     out: &mut Vec<Neighbor>,
+    stamps: &mut PrimStamps,
     stack: &mut S,
 ) {
     let mut heap = BoundedHeap::new(out, k);
     if k == 0 || tree.nodes().is_empty() {
         return;
     }
+    stamps.begin(tree.mesh().len());
     let axes = PointAxes::new(p);
     let nodes = tree.nodes();
     let tris = tree.leaf_tris();
@@ -170,8 +212,10 @@ fn knn_impl<S: TraversalStack<PqEntry>>(
             let first = node.prim_first() as usize;
             let count = node.prim_count() as usize;
             for lt in &tris[first..first + count] {
-                let d2 = lt.tri.distance_squared(p);
-                heap.offer(Neighbor { prim: lt.prim, d2 });
+                if stamps.first_visit(lt.prim) {
+                    let d2 = lt.tri.distance_squared(p);
+                    heap.offer(Neighbor { prim: lt.prim, d2 });
+                }
             }
         }
         match stack.pop() {
@@ -191,6 +235,7 @@ fn radius_impl<S: TraversalStack<PqEntry>>(
     p: Vec3,
     r: f32,
     out: &mut Vec<Neighbor>,
+    stamps: &mut PrimStamps,
     stack: &mut S,
 ) {
     out.clear();
@@ -201,6 +246,7 @@ fn radius_impl<S: TraversalStack<PqEntry>>(
     if tree.bounds().distance_squared_to_point(p) > r2 {
         return;
     }
+    stamps.begin(tree.mesh().len());
     let axes = PointAxes::new(p);
     let nodes = tree.nodes();
     let tris = tree.leaf_tris();
@@ -226,9 +272,11 @@ fn radius_impl<S: TraversalStack<PqEntry>>(
         let first = node.prim_first() as usize;
         let count = node.prim_count() as usize;
         for lt in &tris[first..first + count] {
-            let d2 = lt.tri.distance_squared(p);
-            if d2 <= r2 {
-                out.push(Neighbor { prim: lt.prim, d2 });
+            if stamps.first_visit(lt.prim) {
+                let d2 = lt.tri.distance_squared(p);
+                if d2 <= r2 {
+                    out.push(Neighbor { prim: lt.prim, d2 });
+                }
             }
         }
         match stack.pop() {
@@ -236,10 +284,8 @@ fn radius_impl<S: TraversalStack<PqEntry>>(
             None => break,
         }
     }
-    // Leaves duplicate straddling prims; sort by prim id and drop the
-    // copies (both are in-place: no allocation with enough capacity).
+    // In place: no allocation with enough capacity.
     out.sort_unstable_by_key(|n| n.prim);
-    out.dedup_by_key(|n| n.prim);
 }
 
 /// Ascending by distance, primitive id as the deterministic tiebreak.
@@ -253,23 +299,24 @@ fn cmp_neighbors(a: &Neighbor, b: &Neighbor) -> std::cmp::Ordering {
 impl KdTree {
     /// The `k` distinct primitives nearest to `p`, ascending by distance
     /// (fewer when the mesh has fewer than `k` primitives). Convenience
-    /// wrapper that allocates its result; hot callers use
-    /// [`KdTree::knn_into`] with a reused buffer.
+    /// wrapper that allocates its result and scratch; hot callers use
+    /// [`KdTree::knn_into`] with reused ones.
     pub fn knn(&self, p: Vec3, k: usize) -> Vec<Neighbor> {
         let mut out = Vec::new();
-        self.knn_into(p, k, &mut out);
+        self.knn_into(p, k, &mut out, &mut PrimStamps::new());
         out
     }
 
     /// [`KdTree::knn`] writing into a caller-provided buffer (cleared
-    /// first). With `out.capacity() >= k`, performs zero heap
-    /// allocations on any tree whose depth bound fits the fixed stack
-    /// (all SAH-built trees).
-    pub fn knn_into(&self, p: Vec3, k: usize, out: &mut Vec<Neighbor>) {
+    /// first), with a caller-owned scratch that can serve any number of
+    /// queries. With `out.capacity() >= k` and a scratch that has seen a
+    /// mesh this large, performs zero heap allocations on any tree whose
+    /// depth bound fits the fixed stack (all SAH-built trees).
+    pub fn knn_into(&self, p: Vec3, k: usize, out: &mut Vec<Neighbor>, stamps: &mut PrimStamps) {
         if self.fits_fixed_stack() {
-            knn_impl(self, p, k, out, &mut ArrayStack::new());
+            knn_impl(self, p, k, out, stamps, &mut ArrayStack::new());
         } else {
-            knn_impl(self, p, k, out, &mut VecStack::new());
+            knn_impl(self, p, k, out, stamps, &mut VecStack::new());
         }
     }
 
@@ -279,19 +326,25 @@ impl KdTree {
     /// [`KdTree::radius_gather_into`].
     pub fn radius_gather(&self, p: Vec3, r: f32) -> Vec<Neighbor> {
         let mut out = Vec::new();
-        self.radius_gather_into(p, r, &mut out);
+        self.radius_gather_into(p, r, &mut out, &mut PrimStamps::new());
         out
     }
 
     /// [`KdTree::radius_gather`] writing into a caller-provided buffer
-    /// (cleared first). With enough capacity for the result set,
-    /// performs zero heap allocations under the same depth bound as
-    /// [`KdTree::knn_into`].
-    pub fn radius_gather_into(&self, p: Vec3, r: f32, out: &mut Vec<Neighbor>) {
+    /// (cleared first), with a caller-owned scratch as in
+    /// [`KdTree::knn_into`]. With enough capacity for the result set,
+    /// performs zero heap allocations under the same conditions.
+    pub fn radius_gather_into(
+        &self,
+        p: Vec3,
+        r: f32,
+        out: &mut Vec<Neighbor>,
+        stamps: &mut PrimStamps,
+    ) {
         if self.fits_fixed_stack() {
-            radius_impl(self, p, r, out, &mut ArrayStack::new());
+            radius_impl(self, p, r, out, stamps, &mut ArrayStack::new());
         } else {
-            radius_impl(self, p, r, out, &mut VecStack::new());
+            radius_impl(self, p, r, out, stamps, &mut VecStack::new());
         }
     }
 }
@@ -433,10 +486,39 @@ mod tests {
         let mesh = grid_mesh(16);
         let tree = eager(&mesh);
         let mut buf = vec![Neighbor { prim: 99, d2: 0.0 }; 4];
-        tree.knn_into(Vec3::ZERO, 0, &mut buf);
+        let mut stamps = PrimStamps::new();
+        tree.knn_into(Vec3::ZERO, 0, &mut buf, &mut stamps);
         assert!(buf.is_empty());
-        tree.knn_into(Vec3::ZERO, 2, &mut buf);
+        tree.knn_into(Vec3::ZERO, 2, &mut buf, &mut stamps);
         assert_eq!(buf.len(), 2);
+    }
+
+    /// A scratch whose generation wraps must not mistake a stamp from
+    /// before the wrap for one of the current query. A first query near
+    /// `a` stamps its prims with generation 1; the generation is then
+    /// moved to `u32::MAX - 1`, a query near `b` (far from `a`) runs at
+    /// `u32::MAX`, and the queries near `a` after it run at 1 and 2 again.
+    /// Each must match a fresh scratch to the bit.
+    #[test]
+    fn stamp_generation_wraps_without_stale_stamps() {
+        let mesh = grid_mesh(64);
+        let tree = eager(&mesh);
+        let (a, b) = (Vec3::new(0.5, 0.5, 0.0), Vec3::new(7.0, 7.0, 2.0));
+        let mut stamps = PrimStamps::new();
+        let mut out = Vec::new();
+        tree.knn_into(a, 5, &mut out, &mut stamps);
+        assert_eq!(stamps.generation, 1);
+        assert_eq!(out, tree.knn(a, 5));
+        stamps.generation = u32::MAX - 1;
+        tree.knn_into(b, 5, &mut out, &mut stamps);
+        assert_eq!(stamps.generation, u32::MAX);
+        assert_eq!(out, tree.knn(b, 5));
+        tree.knn_into(a, 5, &mut out, &mut stamps);
+        assert_eq!(stamps.generation, 1);
+        assert_eq!(out, tree.knn(a, 5), "knn across the wrap");
+        tree.radius_gather_into(a, 1.5, &mut out, &mut stamps);
+        assert_eq!(stamps.generation, 2);
+        assert_eq!(out, tree.radius_gather(a, 1.5), "gather after the wrap");
     }
 
     /// Force the Vec-stack fallback with a manually over-deepened tree

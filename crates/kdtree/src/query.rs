@@ -9,13 +9,14 @@ use std::sync::Arc;
 /// Implementations must be callable concurrently from many threads (`&self`
 /// queries) — the ray caster parallelizes over pixels.
 ///
-/// The packet methods are const-generic over the packet width and have
-/// default implementations that trace each active lane through the
-/// scalar queries — correct (and by definition bit-identical to scalar)
+/// The packet method is const-generic over the packet width and has a
+/// default implementation that traces each active lane through the
+/// scalar query — correct (and by definition bit-identical to scalar)
 /// for any implementor; structures with a real packet traversal override
-/// them. They are `where Self: Sized` so the scalar half of the trait
-/// stays object-safe (`&dyn RayQuery` callers only ever need scalar
-/// queries).
+/// it. It is `where Self: Sized` so the scalar half of the trait stays
+/// object-safe (`&dyn RayQuery` callers only ever need scalar queries).
+/// Occlusion has no packet form: the renderer traces its shadow rays
+/// scalar at every width.
 pub trait RayQuery: Send + Sync {
     /// Nearest intersection with ray parameter in `(t_min, t_max)`.
     fn intersect(&self, ray: &Ray, t_min: f32, t_max: f32) -> Option<Hit>;
@@ -41,23 +42,6 @@ pub trait RayQuery: Send + Sync {
     {
         per_lane_nearest(self, p, t_min, counters)
     }
-
-    /// Occlusion mask for every active lane of a packet (bit `l` set =
-    /// lane `l` blocked in `(t_min, lane t_max)`); inactive lanes report
-    /// unoccluded. Must agree lanewise with [`RayQuery::intersect_any`].
-    fn intersect_any_packet<const W: usize>(
-        &self,
-        p: &RayPacket<W>,
-        t_min: f32,
-        _min_active: u32,
-        _use_frustum: bool,
-        counters: &mut PacketCounters,
-    ) -> u32
-    where
-        Self: Sized,
-    {
-        per_lane_any(self, p, t_min, counters)
-    }
 }
 
 /// Traces every active lane of `p` through `query`'s scalar nearest-hit
@@ -81,27 +65,6 @@ pub(crate) fn per_lane_nearest<const W: usize>(
     out
 }
 
-/// The any-hit analogue of [`per_lane_nearest`]: bit `l` set = lane `l`
-/// blocked.
-pub(crate) fn per_lane_any<const W: usize>(
-    query: &impl RayQuery,
-    p: &RayPacket<W>,
-    t_min: f32,
-    counters: &mut PacketCounters,
-) -> u32 {
-    let t_maxes = p.t_maxes();
-    let mut occluded = 0u32;
-    counters.packets += 1;
-    counters.scalar_fallback_lanes += p.active().count_ones() as u64;
-    for (l, &t_max) in t_maxes.iter().enumerate() {
-        let bit = 1u32 << l;
-        if p.active() & bit != 0 && query.intersect_any(p.ray(l), t_min, t_max) {
-            occluded |= bit;
-        }
-    }
-    occluded
-}
-
 impl RayQuery for KdTree {
     fn intersect(&self, ray: &Ray, t_min: f32, t_max: f32) -> Option<Hit> {
         KdTree::intersect(self, ray, t_min, t_max)
@@ -118,16 +81,6 @@ impl RayQuery for KdTree {
         counters: &mut PacketCounters,
     ) -> [Option<Hit>; W] {
         KdTree::intersect_packet(self, p, t_min, min_active, use_frustum, counters)
-    }
-    fn intersect_any_packet<const W: usize>(
-        &self,
-        p: &RayPacket<W>,
-        t_min: f32,
-        min_active: u32,
-        use_frustum: bool,
-        counters: &mut PacketCounters,
-    ) -> u32 {
-        KdTree::intersect_any_packet(self, p, t_min, min_active, use_frustum, counters)
     }
 }
 
@@ -232,23 +185,6 @@ impl RayQuery for BuiltTree {
             // per-lane default keeps that machinery untouched.
             BuiltTree::Lazy(t) => {
                 RayQuery::intersect_packet(t, p, t_min, min_active, use_frustum, counters)
-            }
-        }
-    }
-    fn intersect_any_packet<const W: usize>(
-        &self,
-        p: &RayPacket<W>,
-        t_min: f32,
-        min_active: u32,
-        use_frustum: bool,
-        counters: &mut PacketCounters,
-    ) -> u32 {
-        match self {
-            BuiltTree::Eager(t) => {
-                t.intersect_any_packet(p, t_min, min_active, use_frustum, counters)
-            }
-            BuiltTree::Lazy(t) => {
-                RayQuery::intersect_any_packet(t, p, t_min, min_active, use_frustum, counters)
             }
         }
     }

@@ -1,4 +1,7 @@
-//! Masked `W`-wide packet traversal over the packed-node tree.
+//! Masked `W`-wide nearest-hit packet traversal over the packed-node
+//! tree. The renderer traces its primary rays through it; shadow rays
+//! share no origin and are traced scalar (see DESIGN.md, packet
+//! traversal).
 //!
 //! A [`RayPacket<W>`] (W = 4, 8 or 16) descends the tree as a group: one
 //! node fetch and one split classification serve up to `W` rays, and
@@ -25,10 +28,10 @@
 //!    bit, including NaN comparison polarity.
 //! 3. **Scalar resume.** When lanes disagree on `below_first`, or the
 //!    active count drops below the divergence threshold `min_active`,
-//!    the affected lanes are handed to [`intersect_core`] /
-//!    [`intersect_any_core`] — a *continuation* of the scalar loop from
-//!    the lane's current node, interval, best hit, and pending stack
-//!    entries, which is scalar execution by construction.
+//!    the affected lanes are handed to [`intersect_core`] — a
+//!    *continuation* of the scalar loop from the lane's current node,
+//!    interval, best hit, and pending stack entries, which is scalar
+//!    execution by construction.
 //!
 //! One scalar quirk needs care: the scalar nearest-hit pop discards
 //! entries whose `t_enter` lies beyond the current best (`s0 > t_best`),
@@ -44,7 +47,7 @@
 //! actually owes a visit. What an interval frustum *can* do is replace
 //! the O(W) per-lane split classification with an O(1) whole-packet
 //! one: [`PacketFrustum`] carries per-axis origin and inverse-direction
-//! intervals over the active lanes, and each nearest/any inner step
+//! intervals over the active lanes, and each inner step
 //! first asks it (a) do all origins sit strictly on one side of the
 //! plane (`diff_bounds`), and (b) do the conservative `t_plane` bounds
 //! prove every lane near-only or every lane far-only against running
@@ -65,20 +68,20 @@
 // zipped lane arrays obscure the lane structure.
 #![allow(clippy::needless_range_loop)]
 
-use crate::query::{per_lane_any, per_lane_nearest};
-use crate::traverse::{
-    intersect_any_core, intersect_core, ArrayStack, Gathered, FIXED_TRAVERSAL_STACK, T_EPS,
-};
+use crate::query::per_lane_nearest;
+use crate::traverse::{intersect_core, ArrayStack, Gathered, FIXED_TRAVERSAL_STACK, T_EPS};
 use crate::tree::KdTree;
 use kdtune_geometry::{Hit, PacketFrustum, RayPacket};
 
 /// Work counters for the packet traversal, reported alongside render
 /// stats so per-scene divergence is observable. Unlike
 /// [`crate::TraversalCounters`] these describe *packet* work: one
-/// `node_steps` increment covers up to `W` rays.
+/// `node_steps` increment covers up to `W` rays. Only primary rays
+/// travel in packets, so these count primary-ray work alone; a render's
+/// shadow rays are scalar and appear in no field.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PacketCounters {
-    /// Packets traced (one per `intersect_packet`/`intersect_any_packet`).
+    /// Primary-ray packets traced (one per `intersect_packet`).
     pub packets: u64,
     /// Nodes processed by the shared packet loop (inner + leaf).
     pub node_steps: u64,
@@ -229,12 +232,11 @@ impl<const W: usize> PacketStack<W> {
 
     /// Pops until an entry with surviving lanes turns up; restores the
     /// entry's intervals (and interval bounds) into `t0`/`t1`/`bounds`
-    /// and returns `(node, mask)`. For the nearest-hit traversal,
-    /// non-exempt lanes are dropped from an entry when it starts beyond
-    /// their best hit — the scalar `s0 > t_best` pop check, applied
-    /// lanewise. The negated comparison is deliberate: a NaN `t0`
-    /// (deferred with a NaN split `t_plane`) must *keep* the entry, as
-    /// in the scalar pop.
+    /// and returns `(node, mask)`. Non-exempt lanes are dropped from an
+    /// entry when it starts beyond their best hit — the scalar
+    /// `s0 > t_best` pop check, applied lanewise. The negated comparison
+    /// is deliberate: a NaN `t0` (deferred with a NaN split `t_plane`)
+    /// must *keep* the entry, as in the scalar pop.
     ///
     /// The restore copies whole lane arrays: lanes outside the returned
     /// mask are dead (every mask downstream — split classification,
@@ -245,7 +247,7 @@ impl<const W: usize> PacketStack<W> {
     fn pop_next(
         &mut self,
         live: u32,
-        t_best: Option<&[f32; W]>,
+        t_best: &[f32; W],
         t0: &mut [f32; W],
         t1: &mut [f32; W],
         bounds: &mut (f32, f32),
@@ -257,15 +259,13 @@ impl<const W: usize> PacketStack<W> {
             if m == 0 {
                 continue;
             }
-            if let Some(t_best) = t_best {
-                let mut keep = e.skip_exempt;
-                for l in 0..W {
-                    keep |= (!(e.t0[l] > t_best[l]) as u32) << l;
-                }
-                m &= keep;
-                if m == 0 {
-                    continue;
-                }
+            let mut keep = e.skip_exempt;
+            for l in 0..W {
+                keep |= (!(e.t0[l] > t_best[l]) as u32) << l;
+            }
+            m &= keep;
+            if m == 0 {
+                continue;
             }
             *t0 = e.t0;
             *t1 = e.t1;
@@ -336,66 +336,12 @@ fn resume_lane_nearest<const W: usize>(
     best
 }
 
-/// Any-hit analogue of [`resume_lane_nearest`] (no pop check to apply —
-/// the scalar any-hit pop is unconditional).
-#[allow(clippy::too_many_arguments)]
-fn resume_lane_any<const W: usize>(
-    tree: &KdTree,
-    p: &RayPacket<W>,
-    l: usize,
-    t_min: f32,
-    node: u32,
-    t0: f32,
-    t1: f32,
-    stack: &PacketStack<W>,
-) -> bool {
-    let ray = p.ray(l);
-    let t_max = p.t_maxes()[l];
-    let mut scratch = ArrayStack::new();
-    if intersect_any_core(
-        tree,
-        ray,
-        t_min,
-        t_max,
-        node,
-        t0,
-        t1,
-        &mut scratch,
-        &mut Gathered,
-    ) {
-        return true;
-    }
-    let bit = 1u32 << l;
-    for e in stack.pending() {
-        if e.mask & bit == 0 {
-            continue;
-        }
-        scratch.clear();
-        if intersect_any_core(
-            tree,
-            ray,
-            t_min,
-            t_max,
-            e.node,
-            e.t0[l],
-            e.t1[l],
-            &mut scratch,
-            &mut Gathered,
-        ) {
-            return true;
-        }
-    }
-    false
-}
-
 /// Outcome of one shared nearest-hit inner-node step.
 enum InnerStep {
     /// Descend into `(node, mask)`.
     Descend(u32, u32),
     /// Active lanes disagree on the near child; intervals and stack are
-    /// untouched. The nearest-hit loop must bail to the order-exact
-    /// scalar resume — the any-hit loop never lands here, it uses the
-    /// order-free [`inner_step_any`] instead.
+    /// untouched. The loop must bail to the order-exact scalar resume.
     Diverged,
 }
 
@@ -606,149 +552,6 @@ fn below_first_mask<const W: usize>(p: &RayPacket<W>, diff: &[f32; W], d: &[f32;
     }
 }
 
-/// Order-free inner step for the any-hit traversal. Occlusion is an
-/// existence query, so per-lane descent order is irrelevant — a packet
-/// whose lanes straddle the split plane need not diverge. The whole
-/// packet descends one shared first child (majority vote over the
-/// active lanes' near-child picks) and each lane carries its *own*
-/// exact child intervals, with near/far swapped for lanes whose origin
-/// sits on the other side of the plane. Every lane therefore visits
-/// exactly the child set and parametric ranges the scalar any-hit
-/// traversal would, possibly in the opposite order. Pushes at most one
-/// entry, so the shared stack keeps its one-entry-per-level depth
-/// bound. The frustum fast path applies unchanged (its conditions make
-/// every lane visit one shared child with untouched intervals).
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn inner_step_any<const W: usize>(
-    p: &RayPacket<W>,
-    frustum: &PacketFrustum,
-    node: &crate::tree::PackedNode,
-    cur_node: u32,
-    cur_mask: u32,
-    t0: &mut [f32; W],
-    t1: &mut [f32; W],
-    bounds: &mut (f32, f32),
-    stack: &mut PacketStack<W>,
-    counters: &mut PacketCounters,
-) -> (u32, u32) {
-    let axis = node.axis_index();
-    let pos = node.split_pos();
-    if let Ok((next, mask)) = frustum_classify(
-        frustum,
-        axis,
-        pos,
-        cur_node,
-        node.right_child(),
-        cur_mask,
-        *bounds,
-    ) {
-        counters.frustum_steps += 1;
-        return (next, mask);
-    }
-    let o = p.origin_axis(axis);
-    let d = p.dir_axis(axis);
-    let inv = p.inv_dir_axis(axis);
-    let mut diff = [0.0f32; W];
-    for l in 0..W {
-        diff[l] = pos - o[l];
-    }
-    let mut t_plane = [0.0f32; W];
-    for l in 0..W {
-        t_plane[l] = diff[l] * inv[l];
-    }
-    // Per-lane origin side as a *bool array* (same predicate as
-    // [`below_first_mask`]): kept unpacked so the interval blends below
-    // lower to vector selects instead of per-lane bit tests.
-    let mut o_below = [false; W];
-    for l in 0..W {
-        o_below[l] = (diff[l] > 0.0) | ((diff[l] == 0.0) & (d[l] <= 0.0));
-    }
-    // Scalar child classification per lane (NaN `t_plane` lands in
-    // `straddle`, as in the scalar branch chain), then mapped from
-    // near/far to below/above by origin side. A lane visits the below
-    // child iff it is its near child or its ray straddles into it.
-    let mut vis_below = [false; W];
-    let mut vis_above = [false; W];
-    let mut below_t0 = [0.0f32; W];
-    let mut below_t1 = [0.0f32; W];
-    let mut above_t0 = [0.0f32; W];
-    let mut above_t1 = [0.0f32; W];
-    for l in 0..W {
-        let near_only = (t_plane[l] > t1[l]) | (t_plane[l] <= 0.0);
-        let far_only = !near_only & (t_plane[l] < t0[l]);
-        let straddle = !near_only & !far_only;
-        // Near interval `[t0, t1∧t_plane]`, far `[t0∨t_plane, t1]`
-        // (clamped only for straddling lanes).
-        let near_t1 = if straddle { t_plane[l] } else { t1[l] };
-        let far_t0 = if straddle { t_plane[l] } else { t0[l] };
-        vis_below[l] = if o_below[l] {
-            !far_only
-        } else {
-            far_only | straddle
-        };
-        vis_above[l] = if o_below[l] {
-            far_only | straddle
-        } else {
-            !far_only
-        };
-        below_t0[l] = if o_below[l] { t0[l] } else { far_t0 };
-        below_t1[l] = if o_below[l] { near_t1 } else { t1[l] };
-        above_t0[l] = if o_below[l] { far_t0 } else { t0[l] };
-        above_t1[l] = if o_below[l] { t1[l] } else { near_t1 };
-    }
-    let below_mask = mask_of(vis_below) & cur_mask;
-    let above_mask = mask_of(vis_above) & cur_mask;
-    // Majority vote on the shared first child; misaligned lanes see
-    // their children in the opposite order, which any-hit is free to
-    // do.
-    let below_first = 2 * (mask_of(o_below) & cur_mask).count_ones() >= cur_mask.count_ones();
-    let (first, second, first_mask, second_mask) = if below_first {
-        (cur_node + 1, node.right_child(), below_mask, above_mask)
-    } else {
-        (node.right_child(), cur_node + 1, above_mask, below_mask)
-    };
-    // Every active lane visits at least one child, so the masks cannot
-    // both be empty.
-    // Child intervals are subsets of the parent's, so the current bounds
-    // stay sound for both children — inherited, never recomputed (an
-    // O(W) min/max scan per step costs more than the frustum saves).
-    if first_mask == 0 {
-        if below_first {
-            *t0 = above_t0;
-            *t1 = above_t1;
-        } else {
-            *t0 = below_t0;
-            *t1 = below_t1;
-        }
-        return (second, second_mask);
-    }
-    if second_mask != 0 {
-        let (t0, t1) = if below_first {
-            (above_t0, above_t1)
-        } else {
-            (below_t0, below_t1)
-        };
-        stack.push(PacketEntry {
-            node: second,
-            mask: second_mask,
-            skip_exempt: 0,
-            t0_lo: bounds.0,
-            t1_hi: bounds.1,
-            t0,
-            t1,
-        });
-    }
-    if below_first {
-        *t0 = below_t0;
-        *t1 = below_t1;
-    } else {
-        *t0 = above_t0;
-        *t1 = above_t1;
-    }
-    (first, first_mask)
-}
-
 /// Shared-loop nearest-hit packet traversal. `min_active` is the
 /// divergence threshold: when fewer active lanes than this remain at a
 /// node, they are handed to the scalar resume path (values `<= 1`
@@ -853,106 +656,12 @@ fn packet_nearest<const W: usize>(
             let in_leaf = mask_of::<W>(std::array::from_fn(|l| t_best[l] <= t1[l] + T_EPS));
             live &= !(cur_mask & has_best & in_leaf);
         }
-        match stack.pop_next(live, Some(&t_best), &mut t0, &mut t1, &mut bounds) {
+        match stack.pop_next(live, &t_best, &mut t0, &mut t1, &mut bounds) {
             Some((n, m)) => {
                 cur_node = n;
                 cur_mask = m;
             }
             None => return best,
-        }
-    }
-}
-
-/// Shared-loop any-hit packet traversal; returns the occlusion mask.
-fn packet_any<const W: usize>(
-    tree: &KdTree,
-    p: &RayPacket<W>,
-    t_min: f32,
-    min_active: u32,
-    use_frustum: bool,
-    counters: &mut PacketCounters,
-) -> u32 {
-    let t_maxes = p.t_maxes();
-    let mut occluded = 0u32;
-    let (mut t0, mut t1, root_mask) = tree.bounds().intersect_ray_packet(p, t_min);
-    let mut live = root_mask;
-    if live == 0 {
-        return 0;
-    }
-    let frustum = if use_frustum {
-        p.frustum()
-    } else {
-        PacketFrustum::INVALID
-    };
-    let mut bounds = if frustum.valid() {
-        lane_bounds(live, &t0, &t1)
-    } else {
-        (f32::NEG_INFINITY, f32::INFINITY)
-    };
-    let mut cur_node = 0u32;
-    let mut cur_mask = live;
-    let mut stack = PacketStack::new();
-    let nodes = tree.nodes();
-    let tris = tree.leaf_tris();
-    loop {
-        let bail = (cur_mask.count_ones()) < min_active;
-        let node = nodes[cur_node as usize];
-        if bail {
-            counters.scalar_fallback_lanes += cur_mask.count_ones() as u64;
-            for l in 0..W {
-                let bit = 1u32 << l;
-                if cur_mask & bit != 0
-                    && resume_lane_any(tree, p, l, t_min, cur_node, t0[l], t1[l], &stack)
-                {
-                    occluded |= bit;
-                }
-            }
-            live &= !cur_mask;
-        } else if !node.is_leaf() {
-            counters.node_steps += 1;
-            counters.lane_steps += cur_mask.count_ones() as u64;
-            counters.lane_slots += W as u64;
-            let (next, mask) = inner_step_any(
-                p,
-                &frustum,
-                &node,
-                cur_node,
-                cur_mask,
-                &mut t0,
-                &mut t1,
-                &mut bounds,
-                &mut stack,
-                counters,
-            );
-            cur_node = next;
-            cur_mask = mask;
-            continue;
-        } else {
-            counters.node_steps += 1;
-            counters.lane_steps += cur_mask.count_ones() as u64;
-            counters.lane_slots += W as u64;
-            let first = node.prim_first() as usize;
-            let count = node.prim_count() as usize;
-            counters.leaf_steps += 1;
-            counters.tri_tests += count as u64;
-            for lt in &tris[first..first + count] {
-                let h = lt.tri.intersect_packet(p, t_min, &t_maxes, cur_mask);
-                if h.mask != 0 {
-                    occluded |= h.mask;
-                    live &= !h.mask;
-                    cur_mask &= !h.mask;
-                    if cur_mask == 0 {
-                        break;
-                    }
-                }
-            }
-        }
-        match stack.pop_next(live, None, &mut t0, &mut t1, &mut bounds) {
-            Some((n, m)) => {
-                cur_node = n;
-                cur_mask = m;
-            }
-            None => return occluded,
         }
     }
 }
@@ -982,25 +691,6 @@ impl KdTree {
         }
         counters.packets += 1;
         packet_nearest(self, p, t_min, min_active, use_frustum, counters)
-    }
-
-    /// Occlusion mask for every active lane of a packet — the shadow-ray
-    /// query, bit-for-bit the lanewise [`KdTree::intersect_any`] (which,
-    /// being existence-only, is traversal-order independent). Inactive
-    /// lanes report unoccluded. Fallback rules as [`KdTree::intersect_packet`].
-    pub fn intersect_any_packet<const W: usize>(
-        &self,
-        p: &RayPacket<W>,
-        t_min: f32,
-        min_active: u32,
-        use_frustum: bool,
-        counters: &mut PacketCounters,
-    ) -> u32 {
-        if !self.fits_fixed_stack() || p.active() == 0 {
-            return per_lane_any(self, p, t_min, counters);
-        }
-        counters.packets += 1;
-        packet_any(self, p, t_min, min_active, use_frustum, counters)
     }
 }
 

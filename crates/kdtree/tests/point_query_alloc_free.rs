@@ -1,14 +1,14 @@
 //! Pins the zero-allocation property of the point-query kernels: with a
-//! reused, pre-reserved result buffer, `knn_into` and
-//! `radius_gather_into` on an SAH-built tree perform no heap
-//! allocations per query (fixed array stack + caller-owned heap
-//! buffer).
+//! reused, pre-reserved result buffer and a reused visit-stamp scratch,
+//! `knn_into` and `radius_gather_into` on an SAH-built tree perform no
+//! heap allocations per query (fixed array stack + caller-owned heap
+//! buffer and stamps).
 //!
 //! Lives in its own test binary (like `alloc_free.rs` for rays) so no
 //! concurrently running test can pollute the global allocation counter.
 
 use kdtune_geometry::{Triangle, TriangleMesh, Vec3};
-use kdtune_kdtree::{build, Algorithm, BuildParams, Neighbor};
+use kdtune_kdtree::{build, Algorithm, BuildParams, Neighbor, PrimStamps};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -62,11 +62,14 @@ fn point_queries_do_not_allocate() {
     // Radius results are bounded by the mesh size; reserve for the worst
     // case so growth never reallocates.
     let mut radius_buf: Vec<Neighbor> = Vec::with_capacity(mesh.len());
+    // One scratch for every query; it sizes itself to the mesh on the
+    // first (warm-up) query.
+    let mut stamps = PrimStamps::new();
 
     // Warm up outside the counted window (first calls may lazily touch
     // allocator-backed state elsewhere in the process).
-    tree.knn_into(Vec3::new(4.2, 3.1, 0.5), K, &mut knn_buf);
-    tree.radius_gather_into(Vec3::new(4.2, 3.1, 0.5), 2.5, &mut radius_buf);
+    tree.knn_into(Vec3::new(4.2, 3.1, 0.5), K, &mut knn_buf, &mut stamps);
+    tree.radius_gather_into(Vec3::new(4.2, 3.1, 0.5), 2.5, &mut radius_buf, &mut stamps);
 
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     for i in 0..200 {
@@ -75,9 +78,9 @@ fn point_queries_do_not_allocate() {
             (i % 13) as f32 * 1.1,
             (i % 5) as f32 - 1.0,
         );
-        tree.knn_into(q, K, &mut knn_buf);
+        tree.knn_into(q, K, &mut knn_buf, &mut stamps);
         assert!(!knn_buf.is_empty());
-        tree.radius_gather_into(q, 2.0, &mut radius_buf);
+        tree.radius_gather_into(q, 2.0, &mut radius_buf, &mut stamps);
     }
     let after = ALLOCATIONS.load(Ordering::Relaxed);
     assert_eq!(

@@ -188,6 +188,92 @@ fn degenerate_flat_mesh() {
     }
 }
 
+/// Small triangles in a thin slab plus four large, slightly tilted
+/// triangles spanning all of it: the builders cut the slab into columns,
+/// and the large triangles land in most leaves. Each kernel stamps a
+/// primitive on its first visit and skips its other copies, so a
+/// duplicate that slipped through (or a copy wrongly skipped) shows up
+/// here. Distances are computed on the same triangle copies as brute
+/// force, so the k-NN distance sequences at k = 1, 8 and the mesh size,
+/// and the whole radius gather, must match it to the bit.
+#[test]
+fn large_straddling_triangles_match_brute_force() {
+    let mut mesh = TriangleMesh::new();
+    let mut rng = StdRng::seed_from_u64(0x57add1e);
+    for _ in 0..160 {
+        let base = Vec3::new(
+            rng.gen_range(-10.0..10.0),
+            rng.gen_range(-10.0..10.0),
+            rng.gen_range(-0.3..0.3),
+        );
+        mesh.push_triangle(Triangle::new(
+            base,
+            base + Vec3::new(rng.gen_range(0.2..0.7), 0.0, rng.gen_range(-0.1..0.1)),
+            base + Vec3::new(0.0, rng.gen_range(0.2..0.7), rng.gen_range(-0.1..0.1)),
+        ));
+    }
+    let large = mesh.len() as u32;
+    for (z0, z1) in [(-0.25, 0.2), (0.3, -0.15)] {
+        let (lo, hi) = (-11.0, 11.0);
+        mesh.push_triangle(Triangle::new(
+            Vec3::new(lo, lo, z0),
+            Vec3::new(hi, lo, z1),
+            Vec3::new(hi, hi, z1),
+        ));
+        mesh.push_triangle(Triangle::new(
+            Vec3::new(lo, lo, z0),
+            Vec3::new(hi, hi, z1),
+            Vec3::new(lo, hi, z0),
+        ));
+    }
+    let mesh = Arc::new(mesh);
+    let n = mesh.len();
+    let mut rng = StdRng::seed_from_u64(0x9e7);
+    for (algo, tree) in all_trees(&mesh, &BuildParams::default()) {
+        let leaves: Vec<&[u32]> = tree
+            .nodes()
+            .iter()
+            .filter(|node| node.is_leaf() && node.prim_count() > 0)
+            .map(|&node| tree.leaf_prims(node))
+            .collect();
+        for prim in large..n as u32 {
+            let holding = leaves.iter().filter(|l| l.contains(&prim)).count();
+            assert!(
+                2 * holding > leaves.len(),
+                "{algo:?}: large prim {prim} in only {holding} of {} leaves",
+                leaves.len()
+            );
+        }
+        for _ in 0..12 {
+            let q = Vec3::new(
+                rng.gen_range(-12.0..12.0),
+                rng.gen_range(-12.0..12.0),
+                rng.gen_range(-2.0..2.0),
+            );
+            let d2_bits = |v: &[Neighbor]| v.iter().map(|n| n.d2.to_bits()).collect::<Vec<_>>();
+            for k in [1, 8, n] {
+                let got = tree.knn(q, k);
+                let expect = brute_force_knn(&mesh, q, k);
+                assert_knn_matches(algo, &got, &expect, q, k);
+                assert_eq!(d2_bits(&got), d2_bits(&expect), "{algo:?} knn({q:?}, {k})");
+            }
+            assert_eq!(
+                tree.knn(q, n),
+                brute_force_knn(&mesh, q, n),
+                "{algo:?} knn all"
+            );
+            for r in [0.5, 2.0, 30.0] {
+                let got = tree.radius_gather(q, r);
+                assert_eq!(
+                    got,
+                    brute_force_radius(&mesh, q, r),
+                    "{algo:?} radius({q:?}, {r})"
+                );
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 

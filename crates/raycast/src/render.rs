@@ -23,8 +23,9 @@ pub const PACKET_WIDTHS: [u32; 4] = [1, 4, 8, 16];
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RenderOptions {
     /// Rays per packet: `0` or `1` renders scalar; `4`, `8` and `16`
-    /// trace coherent pixel tiles (2×2, 4×2, 4×4) through the packet
-    /// traversal. Every width produces bit-identical images and
+    /// trace the primary rays of coherent pixel tiles (2×2, 4×2, 4×4)
+    /// through the packet traversal. Shadow rays are scalar at every
+    /// width. Every width produces bit-identical images and
     /// [`RenderStats`].
     pub packet_width: u32,
     /// Divergence threshold forwarded to the packet traversal: packet
@@ -132,8 +133,8 @@ struct BandStats {
 }
 
 /// Shades one primary hit, casting its shadow ray through the scalar
-/// query. The single source of truth for the per-pixel shading sequence —
-/// the packet path reproduces it with the shadow test batched.
+/// query. The single per-pixel shading sequence: the packet path traces
+/// its primaries in packets and shades their hits here too.
 #[inline]
 fn shade_scalar_hit(
     query: &impl RayQuery,
@@ -186,31 +187,13 @@ const fn tile_shape(w: usize) -> (u32, u32) {
     }
 }
 
-/// A shadow ray awaiting a batched occlusion test: the band-relative
-/// pixel it shades and its parametric range.
-struct PendingShadow {
-    idx: usize,
-    ray: Ray,
-    t_max: f32,
-}
-
-/// Direction octant (sign bits of x/y/z) — shadow rays bucketed by
-/// octant share slab-test orderings and near-child picks, which is the
-/// coherence the shared packet loop and the frustum test need.
-#[inline(always)]
-fn octant(dir: Vec3) -> usize {
-    (dir.x < 0.0) as usize | ((dir.y < 0.0) as usize) << 1 | ((dir.z < 0.0) as usize) << 2
-}
-
-/// Renders the packet-tiled region of one row band at width `W` in
-/// three passes: (1) trace primary packets per pixel tile, recording
-/// per-pixel hits; (2) gather the hit pixels' shadow rays, bucket them
-/// by direction octant, and trace each bucket in `W`-wide any-hit
-/// packets (masked remainder chunks); (3) shade. Occlusion is an
-/// existence query answered identically for a ray regardless of which
-/// packet carries it, so regrouping shadow rays preserves bit-identity
-/// with the scalar path while restoring direction coherence that
-/// per-tile shadow packets lack.
+/// Renders the packet-tiled region of one row band at width `W`: each
+/// pixel tile's primary rays are traced as one packet, and every hit is
+/// shaded through [`shade_scalar_hit`], shadow ray included — the scalar
+/// path's own sequence. Shadow rays start on scattered surface points
+/// and share no origin, so the shared packet loop and the frustum test
+/// gain nothing on them: traced scalar they took less time than in
+/// octant-bucketed packets (see DESIGN.md, packet traversal).
 ///
 /// Remainder pixels (columns right of the last full tile, rows below
 /// the last full tile row) are rendered scalar by the caller.
@@ -228,19 +211,10 @@ fn render_band_packet<const W: usize>(
 ) {
     let rows = band.len() as u32 / width;
     let (tile_w, tile_h) = tile_shape(W);
-    let tile_cols = width / tile_w;
-    let tile_rows = rows / tile_h;
-    if tile_cols == 0 || tile_rows == 0 {
-        return;
-    }
     let min_active = options.packet_min_active.min(W as u32);
-    let frustum = options.frustum;
-
-    // Pass 1: primary packets, one per tile, hits recorded per pixel.
-    let mut hits: Vec<Option<Hit>> = vec![None; band.len()];
-    for ty in 0..tile_rows {
+    for ty in 0..rows / tile_h {
         let y = first_row + ty * tile_h;
-        for tx in 0..tile_cols {
+        for tx in 0..width / tile_w {
             let x = tx * tile_w;
             // Lane order: x-major within the tile.
             let prim_rays: [Ray; W] = std::array::from_fn(|l| {
@@ -249,79 +223,13 @@ fn render_band_packet<const W: usize>(
             let packet = RayPacket::new(prim_rays, [f32::INFINITY; W]);
             acc.render.primary_rays += W as u64;
             let tile_hits =
-                query.intersect_packet(&packet, 0.0, min_active, frustum, &mut acc.packet);
+                query.intersect_packet(&packet, 0.0, min_active, options.frustum, &mut acc.packet);
             for (l, hit) in tile_hits.into_iter().enumerate() {
                 let (px, py) = (x + l as u32 % tile_w, y + l as u32 / tile_w);
-                let idx = ((py - first_row) * width + px) as usize;
-                hits[idx] = hit;
-            }
-        }
-    }
-
-    // Pass 2: octant-bucketed shadow packets over the hit pixels.
-    let mut buckets: [Vec<PendingShadow>; 8] = Default::default();
-    let mut points = vec![Vec3::ZERO; band.len()];
-    for ty in 0..tile_rows {
-        for row in 0..tile_h {
-            let rel_y = ty * tile_h + row;
-            let py = first_row + rel_y;
-            for px in 0..tile_cols * tile_w {
-                let idx = (rel_y * width + px) as usize;
-                let Some(hit) = hits[idx] else { continue };
-                let point = rays.primary_ray(px, py).at(hit.t);
-                let to_light = light - point;
-                let dist = to_light.length();
-                let ray = Ray::new(point, to_light.normalized());
-                acc.render.primary_hits += 1;
-                acc.render.shadow_rays += 1;
-                points[idx] = point;
-                buckets[octant(ray.dir)].push(PendingShadow {
-                    idx,
-                    ray,
-                    t_max: dist - SHADOW_BIAS,
-                });
-            }
-        }
-    }
-    let mut occluded = vec![false; band.len()];
-    for bucket in &buckets {
-        for chunk in bucket.chunks(W) {
-            // Inactive remainder lanes duplicate the chunk's first ray —
-            // a finite placeholder that is never observed.
-            let shadow_rays: [Ray; W] =
-                std::array::from_fn(|l| chunk.get(l).unwrap_or(&chunk[0]).ray);
-            let t_max: [f32; W] = std::array::from_fn(|l| chunk.get(l).map_or(0.0, |s| s.t_max));
-            let mask = if chunk.len() == W {
-                RayPacket::<W>::ALL
-            } else {
-                (1u32 << chunk.len()) - 1
-            };
-            let packet = RayPacket::with_mask(shadow_rays, t_max, mask);
-            let occ = query.intersect_any_packet(
-                &packet,
-                SHADOW_BIAS,
-                min_active,
-                frustum,
-                &mut acc.packet,
-            );
-            acc.render.occluded += occ.count_ones() as u64;
-            for (l, s) in chunk.iter().enumerate() {
-                occluded[s.idx] = occ & (1 << l) != 0;
-            }
-        }
-    }
-
-    // Pass 3: shade.
-    for ty in 0..tile_rows {
-        for row in 0..tile_h {
-            let rel_y = ty * tile_h + row;
-            for px in 0..tile_cols * tile_w {
-                let idx = (rel_y * width + px) as usize;
-                band[idx] = match hits[idx] {
+                band[((py - first_row) * width + px) as usize] = match hit {
                     None => Vec3::ZERO, // background
                     Some(hit) => {
-                        let tri = mesh.triangle(hit.prim);
-                        shade(&tri, hit.prim, points[idx], light, occluded[idx])
+                        shade_scalar_hit(query, mesh, light, packet.ray(l), hit, &mut acc.render)
                     }
                 };
             }
@@ -387,9 +295,9 @@ fn render_band<const W: usize>(
 /// [`render_with`] with explicit [`RenderOptions`]; additionally returns
 /// the frame's accumulated [`PacketCounters`] (all-zero for scalar
 /// renders). The packet path walks each row band in `W`-lane pixel
-/// tiles (2×2, 4×2 or 4×4), tracing primaries and octant-batched shadow
-/// rays through the packet traversal; remainder pixels (widths or band
-/// heights that are not tile multiples) take the scalar path. Images
+/// tiles (2×2, 4×2 or 4×4), tracing the primary rays through the packet
+/// traversal and their shadow rays scalar; remainder pixels (widths or
+/// band heights that are not tile multiples) take the scalar path. Images
 /// and [`RenderStats`] are bit-identical across every width, frustum
 /// mode and thread count.
 pub fn render_with_options(

@@ -48,8 +48,8 @@ USAGE:
 COMMON OPTIONS:
   --scale quick|tiny|paper   scene size (default quick)
   --algo  node_level|nested|in_place|lazy (default in_place)
-  --packet-width W           trace coherent W-wide ray packets, W in
-                             {0,1,4,8,16}; 0/1 = scalar (render, tune)
+  --packet-width W           trace primary rays in coherent W-wide packets,
+                             W in {0,1,4,8,16}; 0/1 = scalar (render, tune)
   --trace FILE               record a JSONL telemetry trace (tune)
 
 SCENES: bunny sponza sibenik toasters wood_doll fairy_forest";
@@ -193,8 +193,8 @@ fn cmd_render(args: &Args) -> Result<(), String> {
     );
     if options.uses_packets() {
         outln!(
-            "packets: {} traced at w={}, {:.1}% lane utilization, {:.1}% frustum-resolved \
-             steps, {} scalar-fallback lanes",
+            "primary packets: {} traced at w={}, {:.1}% lane utilization, {:.1}% \
+             frustum-resolved steps, {} scalar-fallback lanes (shadow rays are scalar)",
             packet.packets,
             options.packet_width,
             100.0 * packet.lane_utilization(),
